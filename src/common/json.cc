@@ -88,45 +88,66 @@ Reader::string()
 }
 
 Reader::Value
+Reader::object()
+{
+    Value v;
+    v.kind = Value::Kind::Obj;
+    expect('{');
+    if (peek() == '}') {
+        pos_++;
+        return v;
+    }
+    for (;;) {
+        std::string key = string();
+        expect(':');
+        v.obj.emplace_back(std::move(key), value());
+        const char n = peek();
+        pos_++;
+        if (n == '}')
+            return v;
+        if (n != ',')
+            fail("expected , or }");
+    }
+}
+
+Reader::Value
+Reader::array()
+{
+    Value v;
+    v.kind = Value::Kind::Arr;
+    expect('[');
+    if (peek() == ']') {
+        pos_++;
+        return v;
+    }
+    for (;;) {
+        v.arr.push_back(value());
+        const char n = peek();
+        pos_++;
+        if (n == ']')
+            return v;
+        if (n != ',')
+            fail("expected , or ]");
+    }
+}
+
+Reader::Value
 Reader::value()
 {
     const char c = peek();
     Value v;
-    if (c == '{') {
-        pos_++;
-        v.kind = Value::Kind::Obj;
-        if (peek() == '}') {
-            pos_++;
-            return v;
-        }
-        for (;;) {
-            std::string key = string();
-            expect(':');
-            v.obj.emplace_back(std::move(key), value());
-            const char n = peek();
-            pos_++;
-            if (n == '}')
-                return v;
-            if (n != ',')
-                fail("expected , or }");
-        }
-    }
-    if (c == '[') {
-        pos_++;
-        v.kind = Value::Kind::Arr;
-        if (peek() == ']') {
-            pos_++;
-            return v;
-        }
-        for (;;) {
-            v.arr.push_back(value());
-            const char n = peek();
-            pos_++;
-            if (n == ']')
-                return v;
-            if (n != ',')
-                fail("expected , or ]");
-        }
+    if (c == '{' || c == '[') {
+        if (depth_ >= maxDepth)
+            fail("nesting too deep");
+        // Scoped so a throw from a nested value still unwinds the count
+        // (callers may keep reading after catching a parse error).
+        struct Nest
+        {
+            uint32_t &d;
+            explicit Nest(uint32_t &depth) : d(depth) { d++; }
+            ~Nest() { d--; }
+        } nest(depth_);
+        return c == '{' ? object() : array();
     }
     if (c == '"') {
         v.kind = Value::Kind::Str;

@@ -16,6 +16,7 @@
 #ifndef TANGO_COMMON_JSON_HH
 #define TANGO_COMMON_JSON_HH
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -68,10 +69,15 @@ class ObjWriter
 };
 
 /** A recursive-descent JSON reader over an in-memory buffer.
- *  Parse errors throw std::runtime_error. */
+ *  Parse errors throw std::runtime_error, and so does nesting deeper than
+ *  maxDepth (which would otherwise overflow the stack on hostile input). */
 class Reader
 {
   public:
+    /** Deepest array/object nesting value() accepts.  Tango documents
+     *  nest fewer than ten levels. */
+    static constexpr uint32_t maxDepth = 256;
+
     struct Value
     {
         enum class Kind { Null, Bool, Num, Str, Arr, Obj } kind = Kind::Null;
@@ -94,9 +100,15 @@ class Reader
             const Value *v = find(key);
             return v && v->kind == Kind::Num ? v->num : dflt;
         }
+        /** The number at @p key truncated to an integer, or @p dflt when
+         *  it is absent, not a number, NaN, negative or >= 2^64. */
         uint64_t u64Or(const char *key, uint64_t dflt = 0) const
         {
-            return static_cast<uint64_t>(numOr(key, double(dflt)));
+            const double v = numOr(key, std::nan(""));
+            // Negated test so NaN falls out too; 2^64 is exact in double.
+            if (!(v >= 0.0 && v < 18446744073709551616.0))
+                return dflt;
+            return static_cast<uint64_t>(v);
         }
         bool boolOr(const char *key, bool dflt = false) const
         {
@@ -146,6 +158,8 @@ class Reader
     Value value();
 
   private:
+    Value object();
+    Value array();
     [[noreturn]] void fail(const char *what);
     void skipWs()
     {
@@ -157,6 +171,7 @@ class Reader
 
     const std::string &s_;
     size_t pos_ = 0;
+    uint32_t depth_ = 0;   ///< open arrays/objects around pos_
 };
 
 /** Serialize a parsed Value back to compact JSON (numbers with 17

@@ -10,12 +10,84 @@ namespace tango::sim {
 namespace {
 
 /** Sentinel "will not become ready by itself" cycle (barrier waits). */
-constexpr uint64_t farFuture = ~0ULL;
+constexpr uint64_t farFuture = WakeQueue::never;
 
 /** Extra latency charged when an MSHR file is full (back-pressure). */
 constexpr uint64_t throttlePenalty = 25;
 
+/** Min-heap order on (cycle, slot). */
+constexpr auto laterWake = [](const std::pair<uint64_t, uint32_t> &a,
+                              const std::pair<uint64_t, uint32_t> &b) {
+    return a > b;
+};
+
 } // namespace
+
+void
+WakeQueue::reset(uint32_t num_slots)
+{
+    head_.assign(span, -1);
+    link_.assign(num_slots, -1);
+    at_.assign(num_slots, never);
+    busy_.assign(span);
+    overflow_.clear();
+}
+
+void
+WakeQueue::schedule(uint32_t slot, uint64_t at, uint64_t now)
+{
+    TANGO_ASSERT(at > now && at != never && at_[slot] == never,
+                 "bad wake-up");
+    at_[slot] = at;
+    if (at - now < span) {
+        const uint32_t b = static_cast<uint32_t>(at % span);
+        link_[slot] = head_[b];
+        head_[b] = static_cast<int32_t>(slot);
+        busy_.set(b);
+    } else {
+        overflow_.emplace_back(at, slot);
+        std::push_heap(overflow_.begin(), overflow_.end(), laterWake);
+    }
+}
+
+void
+WakeQueue::popDue(uint64_t now, WarpMask &due)
+{
+    // Every bucket entry lies less than one span ahead of the cycle it
+    // was scheduled in, and every wake-up cycle is visited, so the
+    // bucket of `now` holds exactly the wheel's wake-ups for `now`.
+    const uint32_t b = static_cast<uint32_t>(now % span);
+    if (busy_.test(b)) {
+        for (int32_t s = head_[b]; s >= 0; s = link_[s]) {
+            TANGO_ASSERT(at_[s] == now, "wake-up missed");
+            at_[s] = never;
+            due.set(static_cast<uint32_t>(s));
+        }
+        head_[b] = -1;
+        busy_.reset(b);
+    }
+    while (!overflow_.empty() && overflow_.front().first <= now) {
+        const uint32_t s = overflow_.front().second;
+        TANGO_ASSERT(overflow_.front().first == now, "wake-up missed");
+        std::pop_heap(overflow_.begin(), overflow_.end(), laterWake);
+        overflow_.pop_back();
+        at_[s] = never;
+        due.set(s);
+    }
+}
+
+uint64_t
+WakeQueue::next(uint64_t now) const
+{
+    uint64_t best = overflow_.empty() ? never : overflow_.front().first;
+    const uint32_t from = static_cast<uint32_t>((now + 1) % span);
+    const int b = busy_.findCyclic(from);
+    if (b >= 0) {
+        const uint64_t ahead = (static_cast<uint32_t>(b) + span - from) % span;
+        best = std::min(best, now + 1 + ahead);
+    }
+    return best;
+}
 
 SmCore::SmCore(const GpuConfig &cfg, DeviceMemory &gmem, Cache &l2,
                Dram &dram)
@@ -93,7 +165,6 @@ SmCore::launchCta(const KernelLaunch &launch, uint64_t linear_id,
         slotRef.cta = slot;
         slotRef.active = !slotRef.exec->done();
         slotRef.atBarrier = false;
-        slotRef.age = warpAgeCounter_++;
         slotRef.nextDec =
             slotRef.active ? &slotRef.exec->peekDecoded() : nullptr;
         slotRef.l1Hint = Cache::WayHint{};
@@ -103,16 +174,15 @@ SmCore::launchCta(const KernelLaunch &launch, uint64_t linear_id,
             ctaOrder * static_cast<uint32_t>(warp_ids.size()) + warpOrder++;
         if (profiling_)
             slotPc_[ws] = slotRef.active ? slotRef.exec->pc() : 0;
-        evalDirty_[ws] = slotRef.active ? 1 : 0;
-        activeF_[ws] = slotRef.active ? 1 : 0;
-        ages_[ws] = slotRef.age;
         // Not chargeable until the first evaluation (the incremental stall
         // buckets in run() treat NumStalls as "no bucket").
-        issuable_[ws] = 0;
         why_[ws] = Stall::NumStalls;
         if (slotRef.active) {
             cta.warpSlots.push_back(ws);
             liveWarpTotal_++;
+            rank_[ws] = static_cast<uint32_t>(byAge_.size());
+            byAge_.push_back(ws);
+            recheck_.set(ws);
         }
     }
     cta.liveWarps = static_cast<uint32_t>(cta.warpSlots.size());
@@ -297,6 +367,23 @@ SmCore::windowAccum(double pj, uint64_t now)
 }
 
 void
+SmCore::setIssuable(uint32_t slot, bool on)
+{
+    const auto unit = static_cast<size_t>(warps_[slot].nextDec->unit);
+    if (on) {
+        issuable_.set(slot);
+        issuableByUnit_[unit].set(slot);
+        issuableByAge_.set(rank_[slot]);
+        issuableCnt_++;
+    } else {
+        issuable_.reset(slot);
+        issuableByUnit_[unit].reset(slot);
+        issuableByAge_.reset(rank_[slot]);
+        issuableCnt_--;
+    }
+}
+
+void
 SmCore::issue(uint32_t slot, uint64_t now)
 {
     WarpSlot &w = warps_[slot];
@@ -399,7 +486,7 @@ SmCore::issue(uint32_t slot, uint64_t now)
             for (uint32_t ws : cta.warpSlots) {
                 if (warps_[ws].active) {
                     warps_[ws].atBarrier = false;
-                    evalDirty_[ws] = 1;
+                    recheck_.set(ws);
                 }
             }
             cta.barrierArrived = 0;
@@ -410,9 +497,14 @@ SmCore::issue(uint32_t slot, uint64_t now)
         CtaSlot &cta = ctas_[w.cta];
         w.active = false;
         w.nextDec = nullptr;
-        activeF_[slot] = 0;
         w.exec.reset();
         sched_->notifyRetired(slot);
+        // Leave the age order; younger warps move up one rank.
+        const uint32_t r = rank_[slot];
+        byAge_.erase(byAge_.begin() + r);
+        for (uint32_t k = r; k < byAge_.size(); k++)
+            rank_[byAge_[k]] = k;
+        issuableByAge_.erase(r);
         TANGO_ASSERT(liveWarpTotal_ > 0 && cta.liveWarps > 0,
                      "warp accounting underflow");
         liveWarpTotal_--;
@@ -427,7 +519,7 @@ SmCore::issue(uint32_t slot, uint64_t now)
             for (uint32_t ws : cta.warpSlots) {
                 if (warps_[ws].active) {
                     warps_[ws].atBarrier = false;
-                    evalDirty_[ws] = 1;
+                    recheck_.set(ws);
                 }
             }
             cta.barrierArrived = 0;
@@ -458,7 +550,6 @@ SmCore::run(const KernelLaunch &launch, const std::vector<uint64_t> &cta_ids,
     windowEnergyPj_ = 0.0;
     ldstThrottleUntil_ = 0;
     std::fill(std::begin(unitBusy_), std::end(unitBusy_), 0);
-    warpAgeCounter_ = 0;
     liveWarpTotal_ = 0;
     ctaOrderCounter_ = 0;
     hashing_ = stream_hash != nullptr;
@@ -477,17 +568,19 @@ SmCore::run(const KernelLaunch &launch, const std::vector<uint64_t> &cta_ids,
     nextPending_ = 0;
     freeCtas_ = resident_ctas;
     const uint32_t nSlots = static_cast<uint32_t>(warps_.size());
-    // Inactive slots carry earliest_ == farFuture and a clear dirty flag,
-    // so the per-cycle scan needs no activity check: the re-evaluation
-    // condition can only fire for live warps, and far-future sentinels
-    // fall out of the wake-up minimum by themselves.
-    evalDirty_.assign(nSlots, 0);
-    activeF_.assign(nSlots, 0);
-    issuable_.assign(nSlots, 0);
     why_.assign(nSlots, Stall::NumStalls);
-    ages_.assign(nSlots, 0);
-    earliest_.assign(nSlots, farFuture);
+    issuable_.assign(nSlots);
+    for (WarpMask &m : issuableByUnit_)
+        m.assign(nSlots);
+    byAge_.clear();
+    byAge_.reserve(nSlots);
+    rank_.assign(nSlots, 0);
+    issuableByAge_.assign(nSlots);
+    issuableCnt_ = 0;
+    recheck_.assign(nSlots);
+    wake_.reset(nSlots);
     sched_->reset(nSlots);
+    const IssueView view{issuable_, byAge_, issuableByAge_};
 
     profiling_ = policy.profile;
     if (profiling_) {
@@ -501,19 +594,14 @@ SmCore::run(const KernelLaunch &launch, const std::vector<uint64_t> &cta_ids,
         profPc_ = 0;
     }
 
-    // Incremental stall accounting: bucketOf(i) maps a slot to the stall
-    // reason the per-cycle accounting would charge it (or -1 for "none"),
-    // and stallCnt[] holds how many slots sit in each bucket.  Every write
-    // to activeF_/issuable_/why_ keeps the counts in step, so each cycle
-    // charges numStalls counters instead of walking every warp slot.
-    // issuableCnt tracks how many slots are currently issuable; the
-    // scheduler is only asked to scan when at least one is.
+    // Incremental stall accounting: why_[i] is the stall reason the
+    // per-cycle accounting charges slot i (NumStalls = none), and
+    // stallCnt[] holds how many slots sit in each bucket.  Every write to
+    // why_ keeps the counts in step, so each cycle charges numStalls
+    // counters instead of walking every warp slot.
     uint64_t stallCnt[numStalls] = {};
-    uint32_t issuableCnt = 0;
-    const auto bucketOf = [&](uint32_t i) -> int {
-        if (!activeF_[i] || why_[i] == Stall::NumStalls)
-            return -1;
-        return static_cast<int>(issuable_[i] ? Stall::NotSelected : why_[i]);
+    const auto bucketOf = [](Stall s) -> int {
+        return s == Stall::NumStalls ? -1 : static_cast<int>(s);
     };
 
     // Tracing flags, hoisted so the hot loop pays one predictable branch
@@ -551,80 +639,81 @@ SmCore::run(const KernelLaunch &launch, const std::vector<uint64_t> &cta_ids,
         if (liveWarpTotal_ == 0)
             continue;   // CTA produced no live warps (empty block)
 
-        // Evaluate issuability.  Warps whose cached stall points to a
-        // future event keep their cached reason (exact accounting, less
-        // scanning); dirty or due warps are re-evaluated.  The pass also
-        // collects the earliest wake-up event over all live warps: no
-        // later step this cycle changes earliest_ or (when nothing ends
-        // up issuing) the live set, so the minimum is already exact.
-        uint64_t nextEvent = farFuture;
-        for (uint32_t i = 0; i < nSlots; i++) {
-            if (evalDirty_[i] || earliest_[i] <= now) {
-                const int ob = bucketOf(i);
-                const bool oi = issuable_[i] != 0;
-                issuable_[i] =
-                    issuableSlot(i, now, why_[i], earliest_[i]) ? 1 : 0;
-                evalDirty_[i] = 0;
-                const int nb = bucketOf(i);
-                if (ob != nb) {
-                    if (ob >= 0)
-                        stallCnt[ob]--;
-                    if (nb >= 0)
-                        stallCnt[nb]++;
-                    if (traceStalls)
-                        recordStall(i, ob, nb, now);
-                }
-                if (oi != (issuable_[i] != 0))
-                    issuableCnt += issuable_[i] ? 1 : -1;
-            }
-            nextEvent = std::min(nextEvent, earliest_[i]);
+        // Re-evaluate exactly the warps whose issuability can have
+        // changed: issued, released or launched ones (already in
+        // recheck_), stalled ones whose wake-up is due, and issuable ones
+        // whose unit is now occupied or throttled.  A stalled warp keeps
+        // its cached reason until its wake-up (exact accounting: nothing
+        // else can change its state), and an issuable warp stays
+        // issuable until it issues or its unit blocks.  Slots are
+        // evaluated in ascending order, which fixes the order of the
+        // StallTransition trace events.
+        wake_.popDue(now, recheck_);
+        for (size_t u = 0; u < numUnits; u++) {
+            if (unitBusy_[u] > now ||
+                (u == static_cast<size_t>(Unit::LDST) &&
+                 ldstThrottleUntil_ > now))
+                recheck_.merge(issuableByUnit_[u]);
         }
+        recheck_.drain([&](uint32_t i) {
+            const Stall ob = why_[i];
+            uint64_t earliest;
+            const bool ok = issuableSlot(i, now, why_[i], earliest);
+            const Stall nb = why_[i];
+            if (ob != nb) {
+                if (ob != Stall::NumStalls)
+                    stallCnt[static_cast<size_t>(ob)]--;
+                stallCnt[static_cast<size_t>(nb)]++;
+                if (traceStalls)
+                    recordStall(i, bucketOf(ob), bucketOf(nb), now);
+            }
+            if (ok != (ob == Stall::NotSelected))
+                setIssuable(i, ok);
+            if (!ok && earliest != farFuture)
+                wake_.schedule(i, earliest, now);
+        });
 
         // Issue up to issueWidth instructions.  With at least one issuable
-        // slot every scheduler finds one, so a pick() scan that would come
-        // back empty is skipped (its only state effect is replicated by
+        // slot every scheduler finds one, so a pick() that would come back
+        // empty is skipped (its only state effect is replicated by
         // notifyNoneIssuable).
         uint32_t issuedNow = 0;
         for (uint32_t k = 0; k < cfg_.issueWidth; k++) {
-            if (issuableCnt == 0) {
+            if (issuableCnt_ == 0) {
                 sched_->notifyNoneIssuable();
                 break;
             }
-            const int pickIdx = sched_->pick(issuable_, ages_);
+            const int pickIdx = sched_->pick(view);
             if (pickIdx < 0)
                 break;
-            issue(static_cast<uint32_t>(pickIdx), now);
-            // The picked slot was issuable, i.e. bucketed NotSelected.
+            const auto slot = static_cast<uint32_t>(pickIdx);
+            // The picked slot was issuable, i.e. bucketed NotSelected;
+            // issued, it is charged nothing until re-evaluated.
+            setIssuable(slot, false);
             stallCnt[static_cast<size_t>(Stall::NotSelected)]--;
-            issuableCnt--;
+            why_[slot] = Stall::NumStalls;
+            issue(slot, now);
             if (traceStalls) {
                 // NotSelected -> issued (-1 = no bucket).
-                recordStall(static_cast<uint32_t>(pickIdx),
-                            static_cast<int>(Stall::NotSelected), -1, now);
+                recordStall(slot, static_cast<int>(Stall::NotSelected), -1,
+                            now);
             }
-            issuable_[pickIdx] = 0;
-            why_[pickIdx] = Stall::NumStalls;  // issued: no stall charged
-            if (activeF_[pickIdx]) {
-                evalDirty_[pickIdx] = 1;
-            } else {
-                // Retired with this issue: park the slot on the inactive
-                // sentinels so the per-cycle scan skips it.
-                evalDirty_[pickIdx] = 0;
-                earliest_[pickIdx] = farFuture;
-            }
+            if (warps_[slot].active)
+                recheck_.set(slot);
             issuedNow++;
         }
 
-        // Determine how far we can fast-forward when nothing issued.
+        // When nothing issued, nothing changes before the next wake-up.
         uint64_t skip = 1;
         if (issuedNow == 0) {
+            const uint64_t nextEvent = wake_.next(now);
             if (nextEvent == farFuture) {
                 panic("deadlock in kernel %s at cycle %llu (all warps "
                       "waiting at barriers)",
                       prog.name.c_str(),
                       static_cast<unsigned long long>(now));
             }
-            skip = std::max<uint64_t>(1, nextEvent - now);
+            skip = nextEvent - now;
         }
 
         // Stall accounting: every active, non-issued warp is charged its
@@ -633,12 +722,11 @@ SmCore::run(const KernelLaunch &launch, const std::vector<uint64_t> &cta_ids,
         for (size_t s = 0; s < numStalls; s++)
             stalls_[s] += stallCnt[s] * skip;
         if (profiling_) {
-            // Per-PC attribution walk, mirroring bucketOf() exactly so the
-            // per-PC sums reproduce stalls_[] bit-for-bit: each stalled
-            // warp charges the pc of the instruction it is waiting to
-            // issue.
+            // Per-PC attribution walk over the same buckets, so the per-PC
+            // sums reproduce stalls_[] bit-for-bit: each stalled warp
+            // charges the pc of the instruction it is waiting to issue.
             for (uint32_t i = 0; i < nSlots; i++) {
-                const int bkt = bucketOf(i);
+                const int bkt = bucketOf(why_[i]);
                 if (bkt >= 0)
                     pcStalls_[size_t(slotPc_[i]) * numStalls + bkt] += skip;
             }

@@ -19,6 +19,7 @@
 #define TANGO_SIM_CORE_HH
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/stats.hh"
@@ -148,6 +149,43 @@ struct KernelStats
     double totalThreadInstructions() const { return stats.sumPrefix("op."); }
 };
 
+/**
+ * The SM loop's wake-up queue: the cycle at which each stalled warp slot
+ * must be re-evaluated.  Wake-ups fewer than `span` cycles ahead sit in
+ * a timing wheel of per-bucket slot lists; later ones go to an overflow
+ * min-heap.  A slot holds at most one pending wake-up.
+ */
+class WakeQueue
+{
+  public:
+    /** Wheel span in cycles (a power of two). */
+    static constexpr uint32_t span = 1024;
+    /** "No wake-up pending" (barrier waits, empty queue). */
+    static constexpr uint64_t never = ~0ULL;
+
+    /** Empty the queue and size it for @p num_slots slots. */
+    void reset(uint32_t num_slots);
+
+    /** Wake @p slot at cycle @p at; requires @p at > @p now and no
+     *  wake-up already pending for @p slot. */
+    void schedule(uint32_t slot, uint64_t at, uint64_t now);
+
+    /** Move every wake-up due at @p now into @p due.  The caller visits
+     *  every cycle that next() returns, so none is ever overdue. */
+    void popDue(uint64_t now, WarpMask &due);
+
+    /** @return the earliest pending wake-up after @p now, or never. */
+    uint64_t next(uint64_t now) const;
+
+  private:
+    std::vector<int32_t> head_;   ///< per bucket: first slot, -1 = empty
+    std::vector<int32_t> link_;   ///< per slot: next slot in its bucket
+    std::vector<uint64_t> at_;    ///< per slot: pending wake-up or never
+    WarpMask busy_;               ///< non-empty buckets
+    /** Wake-ups >= span cycles ahead, as a min-heap on (cycle, slot). */
+    std::vector<std::pair<uint64_t, uint32_t>> overflow_;
+};
+
 /** One simulated SM executing a set of CTAs of a single kernel. */
 class SmCore
 {
@@ -201,6 +239,9 @@ class SmCore
     uint64_t stateDigest() const;
 
   private:
+    /** Functional units (Unit::SP .. Unit::CTRL). */
+    static constexpr size_t numUnits = static_cast<size_t>(Unit::CTRL) + 1;
+
     struct CtaSlot
     {
         bool active = false;
@@ -219,7 +260,6 @@ class SmCore
         uint32_t cta = 0;
         bool active = false;
         bool atBarrier = false;
-        uint64_t age = 0;
         /** Predecoded form of the next instruction to issue; refreshed
          *  after every issue so the scheduler's scoreboard scans touch no
          *  interpreter state. */
@@ -238,6 +278,7 @@ class SmCore
                    const std::vector<uint32_t> &warp_ids);
     bool issuableSlot(uint32_t slot, uint64_t now, Stall &why,
                       uint64_t &earliest);
+    void setIssuable(uint32_t slot, bool on);
     void issue(uint32_t slot, uint64_t now);
     uint64_t memoryLatency(const Step &st, uint64_t now, WarpSlot &w);
     void windowAccum(double pj, uint64_t now);
@@ -259,7 +300,6 @@ class SmCore
     std::vector<WarpSlot> warps_;
     std::vector<uint64_t> pendingCtas_;
     size_t nextPending_ = 0;
-    uint64_t warpAgeCounter_ = 0;
     /** Step-stream digests, one per (sampled CTA, sampled warp) launch
      *  position; populated only when run() is asked for a stream hash. */
     std::vector<uint64_t> streamHashes_;
@@ -268,17 +308,27 @@ class SmCore
     uint32_t liveWarpTotal_ = 0;
     uint32_t freeCtas_ = 0;
 
-    /** Dense per-slot mirrors of the scheduler-visible warp state.  The
-     *  per-cycle loops (eval, pick, stall accounting) touch only these
-     *  flat arrays instead of striding over the big WarpSlot structs. */
-    std::vector<uint8_t> activeF_;
-    std::vector<uint8_t> issuable_;
+    /** Per-slot stall reason of the last evaluation: NotSelected iff
+     *  issuable, NumStalls for "not charged" (idle, retired, or issued
+     *  and not yet re-evaluated). */
     std::vector<Stall> why_;
-    std::vector<uint64_t> ages_;
-    std::vector<uint64_t> earliest_;
+    /** Issuable slots, as a whole and split by the functional unit of
+     *  their next instruction (a busy unit re-checks only its own). */
+    WarpMask issuable_;
+    WarpMask issuableByUnit_[numUnits];
+    /** Live slots in launch (age) order, each slot's index in it, and
+     *  issuable_ re-indexed by that rank for the oldest-first picks. */
+    std::vector<uint32_t> byAge_;
+    std::vector<uint32_t> rank_;
+    WarpMask issuableByAge_;
+    uint32_t issuableCnt_ = 0;
+    /** Slots to re-evaluate this cycle: issued, released from a barrier,
+     *  just launched, or due in wake_. */
+    WarpMask recheck_;
+    WakeQueue wake_;
 
     // Unit occupancy (busy-until cycle), indexed by Unit.
-    uint64_t unitBusy_[5] = {};
+    uint64_t unitBusy_[numUnits] = {};
     uint64_t ldstThrottleUntil_ = 0;
 
     /** Raw event counters, kept as plain arrays for speed and converted to
@@ -312,12 +362,6 @@ class SmCore
     std::vector<uint64_t> pcL1dMiss_;
     std::vector<uint64_t> pcL2Miss_;
     std::vector<uint64_t> pcDram_;
-
-    /** Issuability re-evaluation flags: a warp whose cached stall reason
-     *  points to a far-future event is not re-scanned every cycle; it is
-     *  marked dirty when it issues, when its CTA's barrier releases, or
-     *  when it is (re)launched. */
-    std::vector<uint8_t> evalDirty_;
 
     // Peak-power window tracking.
     uint64_t windowStart_ = 0;

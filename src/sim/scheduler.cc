@@ -1,9 +1,5 @@
 #include "sim/scheduler.hh"
 
-#include <algorithm>
-#include <bit>
-#include <cstring>
-
 namespace tango::sim {
 
 namespace {
@@ -13,52 +9,26 @@ class GtoScheduler : public WarpScheduler
 {
   public:
     void
-    reset(uint32_t num_slots) override
+    reset(uint32_t) override
     {
-        n_ = num_slots;
         current_ = -1;
     }
 
     int
-    pick(const std::vector<uint8_t> &issuable,
-         const std::vector<uint64_t> &age) override
+    pick(const IssueView &v) override
     {
-        if (current_ >= 0 && static_cast<uint32_t>(current_) < n_ &&
-            issuable[current_]) {
+        if (current_ >= 0 && v.issuable.test(static_cast<uint32_t>(current_)))
             return current_;
-        }
-        // Oldest-issuable scan.  Issuable slots are usually sparse, so the
-        // flag bytes are walked eight at a time and all-zero words skipped;
-        // visiting order (ascending slot) and the pick are unchanged.
-        int best = -1;
-        const uint8_t *flags = issuable.data();
-        uint32_t i = 0;
-        for (; i + 8 <= n_; i += 8) {
-            uint64_t word;
-            std::memcpy(&word, flags + i, 8);
-            while (word) {
-                const auto byte = static_cast<uint32_t>(
-                    std::countr_zero(word) >> 3);
-                const uint32_t slot = i + byte;
-                if (best < 0 || age[slot] < age[best])
-                    best = static_cast<int>(slot);
-                word &= ~(0xffull << (byte * 8));
-            }
-        }
-        for (; i < n_; i++) {
-            if (!issuable[i])
-                continue;
-            if (best < 0 || age[i] < age[best])
-                best = static_cast<int>(i);
-        }
-        current_ = best;
-        return best;
+        // Oldest issuable: the lowest set age rank.
+        const int rank = v.issuableByAge.findFrom(0);
+        current_ = rank < 0 ? -1 : static_cast<int>(v.byAge[rank]);
+        return current_;
     }
 
     void
     notifyNoneIssuable() override
     {
-        current_ = -1;   // a failed pick() scan would have stored best = -1
+        current_ = -1;   // a failed pick() would have stored -1
     }
 
     void
@@ -69,7 +39,6 @@ class GtoScheduler : public WarpScheduler
     }
 
   private:
-    uint32_t n_ = 0;
     int current_ = -1;
 };
 
@@ -85,17 +54,12 @@ class LrrScheduler : public WarpScheduler
     }
 
     int
-    pick(const std::vector<uint8_t> &issuable,
-         const std::vector<uint64_t> &) override
+    pick(const IssueView &v) override
     {
-        for (uint32_t k = 0; k < n_; k++) {
-            const uint32_t i = (next_ + k) % n_;
-            if (issuable[i]) {
-                next_ = (i + 1) % n_;
-                return static_cast<int>(i);
-            }
-        }
-        return -1;
+        const int i = v.issuable.findCyclic(next_);
+        if (i >= 0)
+            next_ = (static_cast<uint32_t>(i) + 1) % n_;
+        return i;
     }
 
   private:
@@ -115,38 +79,35 @@ class TlvScheduler : public WarpScheduler
     {
         n_ = num_slots;
         next_ = 0;
-        active_.assign(n_, 0);
+        active_.assign(n_);
         for (uint32_t i = 0; i < n_ && i < activeSetSize; i++)
-            active_[i] = 1;
+            active_.set(i);
     }
 
     int
-    pick(const std::vector<uint8_t> &issuable,
-         const std::vector<uint64_t> &age) override
+    pick(const IssueView &v) override
     {
         // Round-robin over the active set.
-        for (uint32_t k = 0; k < n_; k++) {
-            const uint32_t i = (next_ + k) % n_;
-            if (active_[i] && issuable[i]) {
-                next_ = (i + 1) % n_;
-                return static_cast<int>(i);
-            }
+        int i = WarpMask::firstCommon(active_, &v.issuable, next_);
+        if (i < 0)
+            i = WarpMask::firstCommon(active_, &v.issuable, 0);
+        if (i >= 0) {
+            next_ = (static_cast<uint32_t>(i) + 1) % n_;
+            return i;
         }
         // Active set fully stalled: promote the oldest issuable pending
         // warp (demoting a stalled active one) and issue from it.
-        int promote = -1;
-        for (uint32_t i = 0; i < n_; i++) {
-            if (active_[i] || !issuable[i])
+        for (int r = v.issuableByAge.findFrom(0); r >= 0;
+             r = v.issuableByAge.findFrom(static_cast<uint32_t>(r) + 1)) {
+            const uint32_t slot = v.byAge[r];
+            if (active_.test(slot))
                 continue;
-            if (promote < 0 || age[i] < age[promote])
-                promote = static_cast<int>(i);
+            demoteOne();
+            active_.set(slot);
+            next_ = (slot + 1) % n_;
+            return static_cast<int>(slot);
         }
-        if (promote < 0)
-            return -1;
-        demoteOne();
-        active_[promote] = 1;
-        next_ = (promote + 1) % n_;
-        return promote;
+        return -1;
     }
 
     void
@@ -154,38 +115,31 @@ class TlvScheduler : public WarpScheduler
     {
         // Demote; promotion happens lazily in pick().
         if (slot < n_)
-            active_[slot] = 0;
+            active_.reset(slot);
     }
 
     void
     notifyRetired(uint32_t slot) override
     {
         if (slot < n_)
-            active_[slot] = 0;
+            active_.reset(slot);
     }
 
   private:
     void
     demoteOne()
     {
-        uint32_t count = 0;
-        for (uint32_t i = 0; i < n_; i++)
-            count += active_[i];
-        if (count < activeSetSize)
+        if (active_.count() < activeSetSize)
             return;
         // Demote the slot after the RR pointer (round-robin victim).
-        for (uint32_t k = 0; k < n_; k++) {
-            const uint32_t i = (next_ + k) % n_;
-            if (active_[i]) {
-                active_[i] = 0;
-                return;
-            }
-        }
+        const int i = active_.findCyclic(next_);
+        if (i >= 0)
+            active_.reset(static_cast<uint32_t>(i));
     }
 
     uint32_t n_ = 0;
     uint32_t next_ = 0;
-    std::vector<uint8_t> active_;
+    WarpMask active_;
 };
 
 } // namespace

@@ -1,13 +1,15 @@
 /**
  * @file
  * Unit tests for the common utilities: RNG determinism, StatSet
- * arithmetic and Table formatting.
+ * arithmetic, Table formatting and the JSON reader's limits.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -199,6 +201,55 @@ TEST(Logging, JsonModeRequiresExactlyOne)
     ::setenv("TANGO_LOG_JSON", "yes", 1);
     EXPECT_FALSE(logJsonMode());
     ::unsetenv("TANGO_LOG_JSON");
+}
+
+TEST(Json, NestingDepthIsCapped)
+{
+    using json::Reader;
+    const auto arrays = [](uint32_t depth) {
+        return std::string(depth, '[') + std::string(depth, ']');
+    };
+    const auto objects = [](uint32_t depth) {
+        std::string doc;
+        for (uint32_t i = 0; i < depth; i++)
+            doc += "{\"k\":";
+        return doc + "0" + std::string(depth, '}');
+    };
+    EXPECT_NO_THROW(Reader(arrays(Reader::maxDepth)).parse());
+    EXPECT_NO_THROW(Reader(objects(Reader::maxDepth)).parse());
+    EXPECT_THROW(Reader(arrays(Reader::maxDepth + 1)).parse(),
+                 std::runtime_error);
+    EXPECT_THROW(Reader(objects(Reader::maxDepth + 1)).parse(),
+                 std::runtime_error);
+    // A 2 MB run of '[' used to recurse until the stack overflowed.
+    try {
+        Reader(std::string(2 << 20, '[')).parse();
+        ADD_FAILURE() << "deep nesting parsed";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("nesting too deep"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Json, U64OrRejectsOutOfRangeNumbers)
+{
+    const json::Reader::Value v = json::Reader(
+        "{\"neg\":-1,\"negfrac\":-0.5,\"nan\":-nan,\"inf\":1e400,"
+        "\"two64\":18446744073709551616,\"top\":18446744073709549568,"
+        "\"frac\":42.9,\"zero\":0,\"str\":\"7\"}")
+                                      .parse();
+    EXPECT_TRUE(std::isnan(v.numOr("nan")));
+    EXPECT_EQ(v.u64Or("neg", 5), 5u);
+    EXPECT_EQ(v.u64Or("negfrac", 5), 5u);
+    EXPECT_EQ(v.u64Or("nan", 5), 5u);
+    EXPECT_EQ(v.u64Or("inf", 5), 5u);
+    EXPECT_EQ(v.u64Or("two64", 5), 5u);
+    EXPECT_EQ(v.u64Or("top", 5), 18446744073709549568ULL);
+    EXPECT_EQ(v.u64Or("frac", 5), 42u);
+    EXPECT_EQ(v.u64Or("zero", 5), 0u);
+    EXPECT_EQ(v.u64Or("str", 5), 5u);
+    EXPECT_EQ(v.u64Or("missing", ~0ULL), ~0ULL);
 }
 
 } // namespace

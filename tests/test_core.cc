@@ -1,12 +1,15 @@
 /**
  * @file
  * SM core / GPU timing-model tests: cycle accounting, stall
- * classification, occupancy, CTA/warp sampling scaling, power plumbing.
+ * classification, occupancy, CTA/warp sampling scaling, power plumbing,
+ * and pinned statistics for SM shapes the golden corpus never reaches
+ * (more than 64 warp slots, wake-ups beyond the timing wheel's span).
  */
 
 #include <gtest/gtest.h>
 
 #include "kernels/builder.hh"
+#include "sim/digest.hh"
 #include "sim/gpu.hh"
 
 namespace tango::sim {
@@ -50,6 +53,71 @@ streamKernel(uint32_t words, uint32_t buf, Dim3 grid, Dim3 block,
     l.grid = grid;
     l.block = block;
     return l;
+}
+
+/** A kernel on every stall path: global loads strided across lines (DRAM
+ *  misses, MSHR pressure), dependent SFU ops, shared-memory traffic and
+ *  a CTA barrier.  Each CTA reads its own 64 KB window of @p buf. */
+KernelLaunch
+mixedKernel(uint32_t buf, Dim3 grid, Dim3 block)
+{
+    kern::Builder b("mixed");
+    b.shared(block.x * 4);
+    kern::Reg tx = b.movS(SReg::TidX);
+    kern::Reg cta = b.movS(SReg::CtaIdX);
+    kern::Reg addr = b.shli(tx, 2);
+    kern::Reg base = b.shli(cta, 16);
+    b.emit3(Op::Add, DType::U32, addr, addr, base);
+    b.emit3i(Op::Add, DType::U32, addr, addr, buf);
+    kern::Reg v = b.reg();
+    kern::Reg sum = b.immF(1.0f);
+    for (uint32_t i = 0; i < 8; i++) {
+        b.ld(DType::F32, Space::Global, v, addr, i * 4096);
+        b.emit3(Op::Add, DType::F32, sum, sum, v);
+        b.emit2(Op::Rcp, DType::F32, sum, sum);
+    }
+    kern::Reg saddr = b.shli(tx, 2);
+    b.st(DType::F32, Space::Shared, saddr, sum);
+    b.bar();
+    kern::Reg nb = b.addi(DType::U32, tx, 1);
+    b.emit3i(Op::And, DType::U32, nb, nb, block.x - 1);
+    kern::Reg naddr = b.shli(nb, 2);
+    b.ld(DType::F32, Space::Shared, v, naddr);
+    b.emit3(Op::Add, DType::F32, sum, sum, v);
+    b.st(DType::F32, Space::Global, addr, sum);
+    KernelLaunch l;
+    l.program = b.finish();
+    l.grid = grid;
+    l.block = block;
+    return l;
+}
+
+/** Digest of every statistic (names and exact values). */
+uint64_t
+statsDigest(const KernelStats &ks)
+{
+    uint64_t h = digest::kInit;
+    for (const auto &[name, v] : ks.stats.all()) {
+        digest::mixBytes(h, name.data(), name.size());
+        digest::mixDouble(h, v);
+    }
+    return h;
+}
+
+/** Pinned statistics of one launch: any drift is a timing-model change. */
+struct Pinned
+{
+    uint64_t smCycles;
+    double issued;
+    uint64_t digest;
+};
+
+void
+expectPinned(const KernelStats &ks, const Pinned &want, const char *what)
+{
+    EXPECT_EQ(ks.smCycles, want.smCycles) << what;
+    EXPECT_EQ(ks.stats.get("issued"), want.issued) << what;
+    EXPECT_EQ(statsDigest(ks), want.digest) << what;
 }
 
 TEST(Core, DependentChainTakesLatencyPerOp)
@@ -257,6 +325,63 @@ TEST(Core, ActiveSmEstimate)
     const auto many =
         gpu.launch(chainKernel(10, {512, 1, 1}, {32, 1, 1}), s);
     EXPECT_EQ(many.activeSms, gpu.config().numSms);
+}
+
+/** 128 warp slots (4 resident 1024-thread CTAs on an SM widened to 128
+ *  warps): the issuable and age masks span two words.  Every scheduler
+ *  must reproduce the statistics pinned from the reference loop. */
+TEST(Core, MoreThan64WarpSlotsPinned)
+{
+    GpuConfig cfg = pascalGP102();
+    cfg.maxWarpsPerSm = 128;
+    cfg.maxThreadsPerSm = 4096;
+    cfg.regFileBytesPerSm = 1024 * 1024;
+    const Pinned want[] = {
+        {19590, 10496.0, 11893419034611997839ULL},   // GTO
+        {17738, 10496.0, 17325067627569798287ULL},   // LRR
+        {19467, 10496.0, 3255941207639645327ULL},    // TLV
+    };
+    const SchedPolicy pols[] = {SchedPolicy::GTO, SchedPolicy::LRR,
+                                SchedPolicy::TLV};
+    for (size_t i = 0; i < 3; i++) {
+        cfg.scheduler = pols[i];
+        Gpu gpu(cfg);
+        const uint32_t buf = gpu.mem().allocate(8 << 16);
+        SimPolicy p;
+        p.fullSim = true;
+        p.shards = 1;
+        const auto ks =
+            gpu.launch(mixedKernel(buf, {8, 1, 1}, {1024, 1, 1}), p);
+        ASSERT_EQ(ks.residentCtas, 4u);
+        EXPECT_EQ(ks.sampledCtas, 8u);
+        expectPinned(ks, want[i], schedName(pols[i]));
+    }
+}
+
+/** A DRAM latency three wheel spans long sends every memory wake-up to
+ *  the overflow heap, alongside short ALU/SFU wake-ups in the wheel. */
+TEST(Core, WakeUpsBeyondWheelSpanPinned)
+{
+    static_assert(3072 >= 2 * WakeQueue::span);
+    GpuConfig cfg = pascalGP102();
+    cfg.dramLatency = 3072;
+    const Pinned want[] = {
+        {50062, 1312.0, 3181659370298203279ULL},    // GTO
+        {50079, 1312.0, 13450863764864425103ULL},    // TLV
+    };
+    const SchedPolicy pols[] = {SchedPolicy::GTO, SchedPolicy::TLV};
+    for (size_t i = 0; i < 2; i++) {
+        cfg.scheduler = pols[i];
+        Gpu gpu(cfg);
+        const uint32_t buf = gpu.mem().allocate(4 << 16);
+        SimPolicy p;
+        p.fullSim = true;
+        p.shards = 1;
+        const auto ks =
+            gpu.launch(mixedKernel(buf, {4, 1, 1}, {256, 1, 1}), p);
+        EXPECT_GT(ks.smCycles, uint64_t(cfg.dramLatency));
+        expectPinned(ks, want[i], schedName(pols[i]));
+    }
 }
 
 } // namespace

@@ -18,6 +18,11 @@
  *     TANGO_UPDATE_GOLDEN=1 ctest -L golden
  *
  * (or the `golden-refresh` CMake preset), then commit tests/golden/.
+ *
+ * The corpus runs the default GTO scheduler.  The LRR and TLV schedulers
+ * are pinned too, on a CNN and an RNN subset, by <net>.lrr.json and
+ * <net>.tlv.json fixtures simulated at K=1 whatever TANGO_SIM_SHARDS
+ * says.
  */
 
 #include <gtest/gtest.h>
@@ -752,16 +757,19 @@ diffNetRun(const NetRun &g, const NetRun &a)
 // ------------------------------------------------------------ the driver
 
 std::string
-fixturePath(const std::string &name)
+fixturePath(const std::string &name, sim::SchedPolicy sched)
 {
     // Intra-run sharding (TANGO_SIM_SHARDS, sim/shard.hh) changes the
     // simulated statistics above K=1 by design, so each shard count is
     // pinned by its own fixture corpus: <net>.json for the sequential
     // run, <net>.k<K>.json for K>1.  scripts/ci.sh runs the golden
-    // label across the {1,2,4} matrix.
+    // label across the {1,2,4} matrix.  Non-default schedulers always
+    // run at K=1 and are pinned by <net>.<sched>.json.
     std::string file = name;
     const uint32_t k = sim::envSimShards();
-    if (k > 1)
+    if (sched != sim::SchedPolicy::GTO)
+        file += std::string(".") + sim::schedName(sched);
+    else if (k > 1)
         file += ".k" + std::to_string(k);
     return std::string(TANGO_GOLDEN_DIR) + "/" + file + ".json";
 }
@@ -774,9 +782,12 @@ updateMode()
 }
 
 NetRun
-runGolden(const std::string &name)
+runGolden(const std::string &name,
+          sim::SchedPolicy sched = sim::SchedPolicy::GTO)
 {
-    sim::Gpu gpu(sim::pascalGP102());
+    sim::GpuConfig cfg = sim::pascalGP102();
+    cfg.scheduler = sched;
+    sim::Gpu gpu(cfg);
     nn::AnyModel model = buildGoldenModel(name);
     nn::initWeights(model);
 
@@ -785,16 +796,19 @@ runGolden(const std::string &name)
     // reference outputs re-written after each layer).
     rt::RunPolicy policy = rt::RunPolicy::named("exact");
     policy.functional = true;
+    if (sched != sim::SchedPolicy::GTO)
+        policy.sim.shards = 1;
 
     rt::Runtime rtm(gpu);
     return rtm.run(model, policy);
 }
 
 void
-checkGolden(const std::string &name)
+checkGolden(const std::string &name,
+            sim::SchedPolicy sched = sim::SchedPolicy::GTO)
 {
-    const NetRun actual = runGolden(name);
-    const std::string path = fixturePath(name);
+    const NetRun actual = runGolden(name, sched);
+    const std::string path = fixturePath(name, sched);
 
     if (updateMode()) {
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -848,6 +862,19 @@ TEST(GoldenStats, ResNet) { checkGolden("resnet"); }
 TEST(GoldenStats, VggNet) { checkGolden("vggnet"); }
 TEST(GoldenStats, Gru) { checkGolden("gru"); }
 TEST(GoldenStats, Lstm) { checkGolden("lstm"); }
+
+TEST(GoldenStats, SqueezeNetLrr)
+{
+    checkGolden("squeezenet", sim::SchedPolicy::LRR);
+}
+TEST(GoldenStats, SqueezeNetTlv)
+{
+    checkGolden("squeezenet", sim::SchedPolicy::TLV);
+}
+TEST(GoldenStats, ResNetLrr) { checkGolden("resnet", sim::SchedPolicy::LRR); }
+TEST(GoldenStats, ResNetTlv) { checkGolden("resnet", sim::SchedPolicy::TLV); }
+TEST(GoldenStats, GruLrr) { checkGolden("gru", sim::SchedPolicy::LRR); }
+TEST(GoldenStats, GruTlv) { checkGolden("gru", sim::SchedPolicy::TLV); }
 
 /** RAII TANGO_NO_MEMO=1: force-disables launch memoization for one run. */
 struct ScopedNoMemo

@@ -17,6 +17,8 @@
 #include <future>
 #include <sstream>
 #include <string>
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <thread>
 #include <unistd.h>
@@ -127,6 +129,15 @@ TEST(ServeProtocol, ResultResponseRoundTrip)
     EXPECT_FALSE(back.ok);
     EXPECT_EQ(back.error, "queue_full");
     EXPECT_EQ(back.served, "reject");
+}
+
+TEST(ServeProtocol, DeeplyNestedFrameIsAParseError)
+{
+    serve::Request req;
+    std::string err;
+    EXPECT_FALSE(
+        serve::parseRequest(std::string(2 << 20, '['), req, &err));
+    EXPECT_NE(err.find("nesting too deep"), std::string::npos) << err;
 }
 
 // ----------------------------------------------------------------- harness
@@ -241,6 +252,32 @@ TEST(Serve, PingStatsAndInvalidSpec)
 
     // Both run requests were refused as invalid specs; nothing served.
     expectRunsAccounted(ts.server.metrics(), 2);
+}
+
+/** A 2 MB frame of '[' used to overflow the connection thread's stack
+ *  and kill the daemon; it must come back as a bad-request reply on a
+ *  connection that keeps working. */
+TEST(Serve, DeeplyNestedFrameGetsBadRequestReply)
+{
+    TestServer ts;
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(ts.server.port());
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                        sizeof addr),
+              0);
+    std::string reply;
+    ASSERT_TRUE(serve::writeFrame(fd, std::string(2 << 20, '[')));
+    ASSERT_EQ(serve::readFrame(fd, reply), serve::FrameStatus::Ok);
+    EXPECT_NE(reply.find("nesting too deep"), std::string::npos) << reply;
+    ASSERT_TRUE(serve::writeFrame(fd, serve::makePingRequest()));
+    EXPECT_EQ(serve::readFrame(fd, reply), serve::FrameStatus::Ok);
+    ::close(fd);
+    std::string err;
+    EXPECT_TRUE(ts.connect().ping(&err)) << err;
 }
 
 TEST(Serve, ConcurrentIdenticalColdJobsSimulateOnceBitIdenticalToGolden)
