@@ -84,6 +84,11 @@ struct ConvCase
     PixelMap pix;
 };
 
+// Print a case by name. gtest would otherwise dump the raw bytes, pointer
+// and padding included, into the listed test name, and every build (every
+// process, under ASLR) would then list the case under a different name.
+void PrintTo(const ConvCase &c, std::ostream *os) { *os << c.name; }
+
 class ConvMapping : public ::testing::TestWithParam<ConvCase>
 {
 };
@@ -278,6 +283,8 @@ struct PoolCase
     bool avg;
     uint32_t win, stride, pad;
 };
+
+void PrintTo(const PoolCase &c, std::ostream *os) { *os << c.name; }
 
 class PoolKinds : public ::testing::TestWithParam<PoolCase>
 {
