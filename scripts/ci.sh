@@ -2,10 +2,12 @@
 # One-command CI gate: default build + full test suite (including the
 # golden-stats corpus) + the TANGO_SIM_SHARDS={1,2,4} golden matrix +
 # the parallel-determinism tier + a tango-trace export validated as
-# JSON + ThreadSanitizer engine/trace/parallel tests.
+# JSON + ThreadSanitizer engine/trace/parallel tests + the tier-1 suite
+# under AddressSanitizer and UBSan.
 #
 #   scripts/ci.sh            # everything
-#   SKIP_TSAN=1 scripts/ci.sh  # skip the sanitizer stage (e.g. no tsan rt)
+#   SKIP_TSAN=1 scripts/ci.sh  # skip the ThreadSanitizer stage (e.g. no tsan rt)
+#   SKIP_ASAN=1 scripts/ci.sh  # skip the ASan+UBSan stage
 #   SKIP_SERVE=1 scripts/ci.sh # skip the tango-serve daemon stage
 #   SKIP_FIT=1 scripts/ci.sh   # skip the estimate-tier fit/check stage
 set -euo pipefail
@@ -150,6 +152,16 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
     cmake --preset tsan
     cmake --build --preset tsan -j
     ctest --preset tsan -j
+fi
+
+if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
+    # Every report is fatal (-fno-sanitize-recover).  The parallel tier is
+    # left out for time; the interpreter's raw-pointer lane loops and the
+    # hostile-input tests are what this stage guards.
+    echo "=== AddressSanitizer + UBSan tier-1 tests ==="
+    cmake --preset asan
+    cmake --build --preset asan -j
+    ctest --preset asan -j
 fi
 
 echo "=== CI gate passed ==="

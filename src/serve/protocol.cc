@@ -1,5 +1,6 @@
 #include "serve/protocol.hh"
 
+#include <algorithm>
 #include <arpa/inet.h>
 #include <cerrno>
 #include <cstring>
@@ -79,9 +80,14 @@ readFrame(int fd, std::string &payload, uint32_t maxBytes)
                          (uint32_t(hdr[2]) << 8) | uint32_t(hdr[3]);
     if (len > maxBytes)
         return FrameStatus::Error;
-    payload.resize(len);
-    if (len && !readAll(fd, payload.data(), len))
-        return FrameStatus::Error;
+    payload.clear();
+    while (payload.size() < len) {
+        const size_t have = payload.size();
+        const size_t step = std::min<size_t>(len - have, kFrameChunkBytes);
+        payload.resize(have + step);
+        if (!readAll(fd, payload.data() + have, step))
+            return FrameStatus::Error;
+    }
     return FrameStatus::Ok;
 }
 

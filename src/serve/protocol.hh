@@ -38,6 +38,11 @@ namespace tango::serve {
  *  corrupt length prefix, not a job). */
 constexpr uint32_t kMaxFrameBytes = 64u << 20;
 
+/** readFrame() grows the payload buffer by at most this much per step, as
+ *  bytes arrive: a header alone cannot make the reader allocate the
+ *  length it claims.  One chunk holds a whole warm NetRun reply (~51 KB). */
+constexpr uint32_t kFrameChunkBytes = 64u << 10;
+
 enum class FrameStatus
 {
     Ok,      ///< one complete frame read

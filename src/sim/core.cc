@@ -528,15 +528,17 @@ SmCore::issue(uint32_t slot, uint64_t now)
 }
 
 KernelStats
-SmCore::run(const KernelLaunch &launch, const std::vector<uint64_t> &cta_ids,
+SmCore::run(const KernelLaunch &launch, const DecodedProgram &decoded,
+            const std::vector<uint64_t> &cta_ids,
             const std::vector<uint32_t> &warp_ids, uint32_t resident_ctas,
             const SimPolicy &policy, uint64_t *stream_hash)
 {
     TANGO_ASSERT(launch.program != nullptr, "launch without program");
     const Program &prog = *launch.program;
 
-    // Decode once per kernel; every warp of every CTA shares the result.
-    const DecodedProgram decoded(prog);
+    // Every warp of every CTA shares the caller's decode.
+    TANGO_ASSERT(decoded.size() == prog.code.size(),
+                 "decoded program out of step with %s", prog.name.c_str());
     decoded_ = &decoded;
 
     launch_ = &launch;

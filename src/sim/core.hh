@@ -201,6 +201,7 @@ class SmCore
     /**
      * Run @p cta_ids of @p launch to completion.
      * @param launch   the kernel.
+     * @param decoded  @p launch's program, decoded (shared by every warp).
      * @param cta_ids  linear CTA indices to simulate (in launch order).
      * @param warp_ids warp indices (within each CTA) to simulate.
      * @param resident_ctas concurrent CTA slots to use.
@@ -213,6 +214,7 @@ class SmCore
      * @return raw (unscaled) statistics for the simulated portion.
      */
     KernelStats run(const KernelLaunch &launch,
+                    const DecodedProgram &decoded,
                     const std::vector<uint64_t> &cta_ids,
                     const std::vector<uint32_t> &warp_ids,
                     uint32_t resident_ctas, const SimPolicy &policy,
@@ -294,7 +296,7 @@ class SmCore
     std::unique_ptr<WarpScheduler> sched_;
 
     const KernelLaunch *launch_ = nullptr;
-    /** Per-kernel predecoded program, owned by run() for its duration. */
+    /** Per-kernel predecoded program, set by run() for its duration. */
     const DecodedProgram *decoded_ = nullptr;
     std::vector<CtaSlot> ctas_;
     std::vector<WarpSlot> warps_;

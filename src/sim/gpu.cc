@@ -362,10 +362,26 @@ Gpu::launch(const KernelLaunch &launch, const SimPolicy &requested)
         entry = &memo_[launchSignature(launch, policy)];
         entry->seen++;
     }
+    // Decode once per launch; a recurring signature keeps its decode on
+    // the memo entry, so replays and re-simulations skip it.
+    std::unique_ptr<const DecodedProgram> oneShot;
+    const DecodedProgram *decoded = nullptr;
+    if (entry != nullptr && entry->seen >= 2) {
+        if (!entry->decoded || entry->program != launch.program) {
+            entry->program = launch.program;
+            entry->decoded =
+                std::make_unique<const DecodedProgram>(*launch.program);
+        }
+        decoded = entry->decoded.get();
+    } else {
+        oneShot = std::make_unique<const DecodedProgram>(*launch.program);
+        decoded = oneShot.get();
+    }
     if (entry != nullptr && entry->armed) {
         const uint64_t usedBytes = mem_.used();
         memoSnapshot_.assign(mem_.data(), mem_.data() + usedBytes);
-        const uint64_t h = runFunctionalOnly(launch, ids, warpIds, mem_);
+        const uint64_t h =
+            runFunctionalOnly(launch, *decoded, ids, warpIds, mem_);
         if (h == entry->streamHash) {
             entry->replays++;
             SimMetrics::get().replayed.inc();
@@ -453,13 +469,13 @@ Gpu::launch(const KernelLaunch &launch, const SimPolicy &requested)
         l2_->setTrace(ts, trace::CacheLevel::L2);
         dram_->setTrace(ts);
         SmCore core(cfg_, mem_, *l2_, *dram_);
-        ks = core.run(launch, ids, warpIds, resident, policy,
+        ks = core.run(launch, *decoded, ids, warpIds, resident, policy,
                       hashed ? &streamHash : nullptr);
         if (hashed)
             fingerprint = stateFingerprint(core);
     } else {
-        ks = launchSharded(launch, policy, plan, ids, warpIds, resident,
-                           hashed, ts, &streamHash, &fingerprint);
+        ks = launchSharded(launch, *decoded, policy, plan, ids, warpIds,
+                           resident, hashed, ts, &streamHash, &fingerprint);
     }
 
     if (ts) {
@@ -554,7 +570,8 @@ Gpu::launch(const KernelLaunch &launch, const SimPolicy &requested)
 }
 
 KernelStats
-Gpu::launchSharded(const KernelLaunch &launch, const SimPolicy &policy,
+Gpu::launchSharded(const KernelLaunch &launch, const DecodedProgram &decoded,
+                   const SimPolicy &policy,
                    const std::vector<CtaShard> &plan,
                    const std::vector<uint64_t> &ids,
                    const std::vector<uint32_t> &warp_ids, uint32_t resident,
@@ -609,7 +626,7 @@ Gpu::launchSharded(const KernelLaunch &launch, const SimPolicy &policy,
             ids.begin() + static_cast<ptrdiff_t>(plan[i].end));
         uint64_t sh = 0;
         SmCore core(cfg_, mem_, *l2, dram);
-        r.ks = core.run(launch, shardIds, warp_ids, plan[i].resident,
+        r.ks = core.run(launch, decoded, shardIds, warp_ids, plan[i].resident,
                         policy, hashed ? &sh : nullptr);
         if (hashed) {
             r.streamDigests = core.streamDigests();

@@ -15,6 +15,7 @@
 #define TANGO_SIM_GPU_HH
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -93,6 +94,12 @@ class Gpu
         uint64_t streamHash = 0;  ///< combined Step-stream digest
         KernelStats stats;        ///< full scaled stats of the steady state
         uint64_t replays = 0;     ///< launches served by replay
+        /** The signature's program, decoded once on its second occurrence
+         *  and shared by every later simulation and replay.  Holding
+         *  `program` pins the address launchSignature() hashes, so no
+         *  other program can reuse it while the entry lives. */
+        std::shared_ptr<const Program> program;
+        std::unique_ptr<const DecodedProgram> decoded;
     };
 
     /** (Re)build the shared L2 + DRAM if the config changed. */
@@ -110,6 +117,7 @@ class Gpu
      *        receive the shard-order folds.
      */
     KernelStats launchSharded(const KernelLaunch &launch,
+                              const DecodedProgram &decoded,
                               const SimPolicy &policy,
                               const std::vector<CtaShard> &plan,
                               const std::vector<uint64_t> &ids,

@@ -4,6 +4,8 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <cstring>
+#include <type_traits>
 
 #include "common/logging.hh"
 #include "sim/digest.hh"
@@ -97,53 +99,14 @@ isFloat(DType t)
     return t == DType::F32;
 }
 
-/** Evaluate a comparison on two values of type @p t. */
-bool
-compare(Cmp c, DType t, uint32_t a, uint32_t b)
-{
-    if (isFloat(t)) {
-        float x = asF32(a), y = asF32(b);
-        switch (c) {
-          case Cmp::Eq: return x == y;
-          case Cmp::Ne: return x != y;
-          case Cmp::Lt: return x < y;
-          case Cmp::Le: return x <= y;
-          case Cmp::Gt: return x > y;
-          case Cmp::Ge: return x >= y;
-        }
-    } else if (isSigned(t)) {
-        auto x = static_cast<int32_t>(a), y = static_cast<int32_t>(b);
-        switch (c) {
-          case Cmp::Eq: return x == y;
-          case Cmp::Ne: return x != y;
-          case Cmp::Lt: return x < y;
-          case Cmp::Le: return x <= y;
-          case Cmp::Gt: return x > y;
-          case Cmp::Ge: return x >= y;
-        }
-    } else {
-        switch (c) {
-          case Cmp::Eq: return a == b;
-          case Cmp::Ne: return a != b;
-          case Cmp::Lt: return a < b;
-          case Cmp::Le: return a <= b;
-          case Cmp::Gt: return a > b;
-          case Cmp::Ge: return a >= b;
-        }
-    }
-    return false;
-}
-
 /**
  * Full-warp f32 fused multiply-add over three register rows (the RNN cell
- * kernels' hottest instruction).
+ * kernels' hottest instruction) into @p dp.
  *
  * Multi-versioned: on hosts with FMA3 the "fma" clone vectorizes to packed
  * vfmadd; the default clone lowers to libm's fmaf.  Both are IEEE
  * correctly rounded, so every clone produces bit-identical results and
- * simulated values do not depend on the host ISA.  The destination row may
- * alias a source row (accumulate form "mad d, a, b, d"), which is safe:
- * the op is elementwise over the same index.
+ * simulated values do not depend on the host ISA.
  *
  * Not multi-versioned under ThreadSanitizer: target_clones emits an ifunc
  * whose instrumented resolver runs at relocation time, before the tsan
@@ -155,12 +118,323 @@ compare(Cmp c, DType t, uint32_t a, uint32_t b)
 __attribute__((target_clones("default", "fma")))
 #endif
 void
-madWarpF32(uint32_t *dp, const uint32_t *a, const uint32_t *b,
+madWarpF32(uint32_t *__restrict dp, const uint32_t *a, const uint32_t *b,
            const uint32_t *c)
 {
     for (uint32_t l = 0; l < warpSize; l++)
         dp[l] =
             asU32(__builtin_fmaf(asF32(a[l]), asF32(b[l]), asF32(c[l])));
+}
+
+constexpr std::array<uint32_t, warpSize>
+makeLaneTable(bool bits)
+{
+    std::array<uint32_t, warpSize> t{};
+    for (uint32_t i = 0; i < warpSize; i++)
+        t[i] = bits ? 1u << i : i;
+    return t;
+}
+
+/** Bit l of a lane mask, as a table so per-lane mask tests vectorize. */
+constexpr std::array<uint32_t, warpSize> kLaneBit = makeLaneTable(true);
+
+/** The %laneid register row. */
+constexpr std::array<uint32_t, warpSize> kLaneIds = makeLaneTable(false);
+
+/** Partial masks of at most this many lanes run lane by lane; denser ones
+ *  compute all 32 lanes and blend. */
+constexpr int kSparseLanes = 4;
+
+/** @return whether at most kSparseLanes lanes of @p exec are set (a few
+ *  bit clears; no popcount instruction on the baseline x86-64 target). */
+inline bool
+sparse(Mask exec)
+{
+    for (int i = 0; i < kSparseLanes; i++)
+        exec &= exec - 1;
+    return exec == 0;
+}
+
+/** A source operand resolved to a register row... */
+struct RowSrc
+{
+    const uint32_t *p;
+    uint32_t operator[](uint32_t l) const { return p[l]; }
+};
+
+/** ...or to the instruction's immediate, the same in every lane. */
+struct ImmSrc
+{
+    uint32_t v;
+    uint32_t operator[](uint32_t) const { return v; }
+};
+
+/**
+ * Call @p go with the first @p Arity sources of @p d, each a RowSrc or an
+ * ImmSrc as decode resolved it (one instantiation per combination), and
+ * ImmSrc{0} for the sources the kind does not read.
+ */
+template <int Arity, typename Go, typename... S>
+inline void
+withSources(const DecodedInstr &d, const uint32_t *regs, Go &&go, S... s)
+{
+    constexpr int i = sizeof...(S);
+    if constexpr (i == 3) {
+        go(s...);
+    } else if constexpr (i >= Arity) {
+        withSources<Arity>(d, regs, go, s..., ImmSrc{0});
+    } else {
+        if (d.immMask & (1u << i))
+            withSources<Arity>(d, regs, go, s..., ImmSrc{d.imm});
+        else
+            withSources<Arity>(d, regs, go, s...,
+                               RowSrc{regs + size_t(d.src[i]) * warpSize});
+    }
+}
+
+/**
+ * One lane of lane kind @p K: its result for sources (a, b, c); 0/1 for
+ * the Set kinds (predicate or register form alike).  Every lane kind is a
+ * total function of any 32-bit inputs — no UB, no traps — so computing
+ * inactive lanes and discarding them is safe.
+ */
+template <ExecKind K>
+inline uint32_t
+laneEval(uint32_t a, uint32_t b, uint32_t c)
+{
+    using E = ExecKind;
+    [[maybe_unused]] const float x = asF32(a), y = asF32(b), z = asF32(c);
+    [[maybe_unused]] const auto sa = static_cast<int32_t>(a);
+    [[maybe_unused]] const auto sb = static_cast<int32_t>(b);
+    if constexpr (K == E::Mov) return a;
+    else if constexpr (K == E::AddI) return a + b;
+    else if constexpr (K == E::AddF) return asU32(x + y);
+    else if constexpr (K == E::SubI) return a - b;
+    else if constexpr (K == E::SubF) return asU32(x - y);
+    else if constexpr (K == E::MulI) return a * b;
+    else if constexpr (K == E::MulF) return asU32(x * y);
+    else if constexpr (K == E::MadI) return a * b + c;
+    else if constexpr (K == E::MadF) return asU32(__builtin_fmaf(x, y, z));
+    else if constexpr (K == E::Mad24)
+        return (a & 0xffffffu) * (b & 0xffffffu) + c;
+    else if constexpr (K == E::MinU) return std::min(a, b);
+    else if constexpr (K == E::MinS)
+        return static_cast<uint32_t>(std::min(sa, sb));
+    else if constexpr (K == E::MinF) return asU32(std::fmin(x, y));
+    else if constexpr (K == E::MaxU) return std::max(a, b);
+    else if constexpr (K == E::MaxS)
+        return static_cast<uint32_t>(std::max(sa, sb));
+    else if constexpr (K == E::MaxF) return asU32(std::fmax(x, y));
+    else if constexpr (K == E::Shl) return a << (b & 31u);
+    else if constexpr (K == E::ShrU) return a >> (b & 31u);
+    else if constexpr (K == E::ShrS)
+        return static_cast<uint32_t>(sa >> (b & 31u));
+    else if constexpr (K == E::And) return a & b;
+    else if constexpr (K == E::Or) return a | b;
+    else if constexpr (K == E::Xor) return a ^ b;
+    else if constexpr (K == E::Not) return ~a;
+    else if constexpr (K == E::SetEqI || K == E::SetEqIP) return a == b;
+    else if constexpr (K == E::SetEqF || K == E::SetEqFP) return x == y;
+    else if constexpr (K == E::SetNeI || K == E::SetNeIP) return a != b;
+    else if constexpr (K == E::SetNeF || K == E::SetNeFP) return x != y;
+    else if constexpr (K == E::SetLtU || K == E::SetLtUP) return a < b;
+    else if constexpr (K == E::SetLtS || K == E::SetLtSP) return sa < sb;
+    else if constexpr (K == E::SetLtF || K == E::SetLtFP) return x < y;
+    else if constexpr (K == E::SetLeU || K == E::SetLeUP) return a <= b;
+    else if constexpr (K == E::SetLeS || K == E::SetLeSP) return sa <= sb;
+    else if constexpr (K == E::SetLeF || K == E::SetLeFP) return x <= y;
+    else static_assert(K == E::Mov, "not a lane kind");
+}
+
+/** @return how many sources lane kind @p k reads. */
+constexpr int
+laneArity(ExecKind k)
+{
+    switch (k) {
+      case ExecKind::Mov: case ExecKind::Not:
+        return 1;
+      case ExecKind::MadI: case ExecKind::MadF: case ExecKind::Mad24:
+        return 3;
+      default:
+        return 2;
+    }
+}
+
+/**
+ * Write lane kind @p K of sources (a, b, c) to row @p d for the lanes of
+ * @p exec.  A full warp is one plain loop into a private row (the
+ * destination may alias a source row, so computing into @p d directly
+ * would cost the vectorizer its alias checks).  A partial warp computes
+ * all 32 lanes the same way, then blends by the mask; a sparse one (at
+ * most kSparseLanes lanes) evaluates its lanes one by one.
+ */
+template <ExecKind K, typename A, typename B, typename C>
+inline void
+runLanes(uint32_t *d, Mask exec, A a, B b, C c)
+{
+    if (exec != kFullMask && sparse(exec)) {
+        for (Mask m = exec; m; m &= m - 1) {
+            const auto l = static_cast<uint32_t>(std::countr_zero(m));
+            d[l] = laneEval<K>(a[l], b[l], c[l]);
+        }
+        return;
+    }
+    uint32_t t[warpSize];
+    if constexpr (K == ExecKind::MadF && std::is_same_v<A, RowSrc> &&
+                  std::is_same_v<B, RowSrc> && std::is_same_v<C, RowSrc>) {
+        madWarpF32(t, a.p, b.p, c.p);
+    } else {
+        for (uint32_t l = 0; l < warpSize; l++)
+            t[l] = laneEval<K>(a[l], b[l], c[l]);
+    }
+    if (exec == kFullMask) {
+        std::memcpy(d, t, sizeof t);
+    } else {
+        for (uint32_t l = 0; l < warpSize; l++)
+            d[l] = (exec & kLaneBit[l]) ? t[l] : d[l];
+    }
+}
+
+/** Execute register-writing lane kind @p K on the warp's register file. */
+template <ExecKind K>
+inline void
+laneOp(const DecodedInstr &d, uint32_t *regs, Mask exec)
+{
+    uint32_t *dp = regs + size_t(d.dst) * warpSize;
+    withSources<laneArity(K)>(d, regs, [&](auto a, auto b, auto c) {
+        runLanes<K>(dp, exec, a, b, c);
+    });
+}
+
+/** Execute predicate-writing Set kind @p K into @p pred: every lane is
+ *  tested and the mask keeps the inactive lanes' old bits. */
+template <ExecKind K>
+inline void
+setPredOp(const DecodedInstr &d, const uint32_t *regs, Mask &pred,
+          Mask exec)
+{
+    withSources<2>(d, regs, [&](auto a, auto b, auto) {
+        Mask r = 0;
+        for (uint32_t l = 0; l < warpSize; l++)
+            r |= kLaneBit[l] & (0u - laneEval<K>(a[l], b[l], 0));
+        pred = (pred & ~exec) | (r & exec);
+    });
+}
+
+/**
+ * Per-lane addresses (@p base + @p imm) of all 32 lanes into @p addrs;
+ * inactive lanes' addresses are computed but never checked or used.
+ * @return whether every active lane's @p bytes-wide access ends at or
+ *         below @p limit.
+ */
+template <typename A>
+inline bool
+laneAddrs(A base, uint32_t imm, Mask exec, uint64_t limit, uint32_t bytes,
+          uint32_t addrs[warpSize])
+{
+    for (uint32_t l = 0; l < warpSize; l++)
+        addrs[l] = base[l] + imm;
+    if (limit < bytes)
+        return exec == 0;
+    if (limit - bytes >= 0xffffffffu)
+        return true;
+    const auto last = static_cast<uint32_t>(limit - bytes);
+    Mask over = 0;
+    for (uint32_t l = 0; l < warpSize; l++)
+        over |= kLaneBit[l] & (0u - static_cast<uint32_t>(addrs[l] > last));
+    return (over & exec) == 0;
+}
+
+/**
+ * The Generic kind's evaluator: one lane of Div, Cvt, Abs, Selp (@p c is
+ * the lane's predicate bit), an SFU op or any arithmetic on u16/s16.
+ * Ops invalid for the type panic here.
+ */
+uint32_t
+evalGeneric(const Instr &ins, uint32_t a, uint32_t b, uint32_t c)
+{
+    if (ins.op == Op::Selp)
+        return c ? a : b;
+    if (isFloat(ins.type)) {
+        // add/sub/mul/mad/min/max.f32 are lane kinds and never get here.
+        const float x = asF32(a), y = asF32(b);
+        float f = 0.0f;
+        switch (ins.op) {
+          case Op::Div: f = x / y; break;
+          case Op::Abs: f = std::fabs(x); break;
+          case Op::Rcp: f = 1.0f / x; break;
+          case Op::Rsqrt: f = 1.0f / std::sqrt(x); break;
+          case Op::Sqrt: f = std::sqrt(x); break;
+          case Op::Ex2: f = std::exp2(x); break;
+          case Op::Lg2: f = std::log2(x); break;
+          case Op::Cvt:
+            // f32 <- integer source
+            f = isSigned(ins.type2)
+                    ? static_cast<float>(static_cast<int32_t>(a))
+                    : static_cast<float>(a);
+            break;
+          default:
+            panic("op %s not valid on f32", opName(ins.op));
+        }
+        return asU32(f);
+    }
+    uint32_t r = 0;
+    switch (ins.op) {
+      case Op::Add: r = a + b; break;
+      case Op::Sub: r = a - b; break;
+      case Op::Mul: r = a * b; break;
+      case Op::Div:
+        if (isSigned(ins.type)) {
+            r = b ? static_cast<uint32_t>(static_cast<int32_t>(a) /
+                                          static_cast<int32_t>(b))
+                  : 0;
+        } else {
+            r = b ? a / b : 0;
+        }
+        break;
+      case Op::Mad: r = a * b + c; break;
+      case Op::Mad24: r = (a & 0xffffffu) * (b & 0xffffffu) + c; break;
+      case Op::Min:
+        r = isSigned(ins.type)
+                ? static_cast<uint32_t>(std::min(static_cast<int32_t>(a),
+                                                 static_cast<int32_t>(b)))
+                : std::min(a, b);
+        break;
+      case Op::Max:
+        r = isSigned(ins.type)
+                ? static_cast<uint32_t>(std::max(static_cast<int32_t>(a),
+                                                 static_cast<int32_t>(b)))
+                : std::max(a, b);
+        break;
+      case Op::Abs:
+        r = isSigned(ins.type)
+                ? static_cast<uint32_t>(std::abs(static_cast<int32_t>(a)))
+                : a;
+        break;
+      case Op::And: r = a & b; break;
+      case Op::Or: r = a | b; break;
+      case Op::Xor: r = a ^ b; break;
+      case Op::Not: r = ~a; break;
+      case Op::Shl: r = a << (b & 31u); break;
+      case Op::Shr:
+        r = isSigned(ins.type)
+                ? static_cast<uint32_t>(static_cast<int32_t>(a) >> (b & 31u))
+                : a >> (b & 31u);
+        break;
+      case Op::Cvt:
+        if (isFloat(ins.type2)) {
+            const float x = asF32(a);
+            r = isSigned(ins.type)
+                    ? static_cast<uint32_t>(static_cast<int32_t>(x))
+                    : static_cast<uint32_t>(x < 0.0f ? 0.0f : x);
+        } else {
+            r = a;
+        }
+        break;
+      default:
+        panic("op %s not valid on int", opName(ins.op));
+    }
+    return canonical(ins.type, r);
 }
 
 } // namespace
@@ -220,24 +494,6 @@ WarpExec::WarpExec(const KernelLaunch &launch, Dim3 cta_id,
         active_ |= (1u << lane);
     }
     done_ = (active_ == 0) || prog_.code.empty();
-}
-
-uint32_t
-WarpExec::readReg(uint32_t lane, uint8_t r) const
-{
-    return regs_[size_t(r) * warpSize + lane];
-}
-
-void
-WarpExec::writeReg(uint32_t lane, uint8_t r, uint32_t v)
-{
-    regs_[size_t(r) * warpSize + lane] = v;
-}
-
-uint32_t
-WarpExec::operand(uint32_t lane, const Instr &ins, int i) const
-{
-    return ins.src[i] == Instr::immReg ? ins.imm : readReg(lane, ins.src[i]);
 }
 
 void
@@ -328,6 +584,8 @@ WarpExec::stepT()
   // The functional instantiation batches: it loops here until the warp
   // retires or consumes a Bar, paying the call and frame setup once per
   // barrier-to-barrier segment instead of once per instruction.
+  uint32_t *const regs = regs_.data();
+  const auto row = [regs](uint8_t r) { return regs + size_t(r) * warpSize; };
   for (;;) {
     resolveFast();
     std::conditional_t<Timing, Step, StepLite> st;
@@ -348,7 +606,7 @@ WarpExec::stepT()
     // Guard predicate (for Bra the predicate is the branch condition and is
     // handled below instead).
     Mask exec = active_;
-    if (ins.pred != noPred && ins.op != Op::Bra) {
+    if (ins.pred != noPred && dec.kind != ExecKind::Bra) {
         const Mask pv = preds_[ins.pred];
         exec &= ins.predNeg ? ~pv : pv;
     }
@@ -362,20 +620,17 @@ WarpExec::stepT()
 
     uint32_t next_pc = pc_ + 1;
 
-    switch (ins.op) {
-      case Op::Nop:
-      case Op::Retp:
-      case Op::Callp:
-      case Op::Bar:
+    switch (dec.kind) {
+      case ExecKind::Nop:
         break;
 
-      case Op::Ssy:
+      case ExecKind::Ssy:
         stack_.push_back({static_cast<uint32_t>(ins.target), rpc_, active_,
                           true});
         rpc_ = ins.target;
         break;
 
-      case Op::Exit: {
+      case ExecKind::Exit: {
         // Exec-masked lanes retire.  Remaining lanes (if any) continue; if
         // none remain the resolver pops pending paths or retires the warp.
         const Mask dying = exec;
@@ -387,7 +642,7 @@ WarpExec::stepT()
         break;
       }
 
-      case Op::Bra: {
+      case ExecKind::Bra: {
         Mask taken = active_;
         if (ins.pred != noPred) {
             const Mask pv = preds_[ins.pred];
@@ -417,125 +672,75 @@ WarpExec::stepT()
         break;
       }
 
-      case Op::Mov: {
-        if (ins.sreg != SReg::None) {
-            forLanes(exec, [&](uint32_t lane) {
-                uint32_t v = 0;
-                switch (ins.sreg) {
-                  case SReg::TidX: v = tidX_[lane]; break;
-                  case SReg::TidY: v = tidY_[lane]; break;
-                  case SReg::TidZ: v = tidZ_[lane]; break;
-                  case SReg::CtaIdX: v = ctaId_.x; break;
-                  case SReg::CtaIdY: v = ctaId_.y; break;
-                  case SReg::CtaIdZ: v = ctaId_.z; break;
-                  case SReg::NTidX: v = launch_.block.x; break;
-                  case SReg::NTidY: v = launch_.block.y; break;
-                  case SReg::NTidZ: v = launch_.block.z; break;
-                  case SReg::LaneId: v = lane; break;
-                  case SReg::WarpId: v = warpInCta_; break;
-                  case SReg::None: break;
-                }
-                writeReg(lane, ins.dst, v);
-            });
-        } else {
-            forLanes(exec, [&](uint32_t lane) {
-                writeReg(lane, ins.dst, operand(lane, ins, 0));
-            });
+      case ExecKind::MovSreg: {
+        uint32_t *dp = row(dec.dst);
+        const auto mov = [&](auto v) {
+            runLanes<ExecKind::Mov>(dp, exec, v, ImmSrc{0}, ImmSrc{0});
+        };
+        switch (ins.sreg) {
+          case SReg::TidX: mov(RowSrc{tidX_}); break;
+          case SReg::TidY: mov(RowSrc{tidY_}); break;
+          case SReg::TidZ: mov(RowSrc{tidZ_}); break;
+          case SReg::CtaIdX: mov(ImmSrc{ctaId_.x}); break;
+          case SReg::CtaIdY: mov(ImmSrc{ctaId_.y}); break;
+          case SReg::CtaIdZ: mov(ImmSrc{ctaId_.z}); break;
+          case SReg::NTidX: mov(ImmSrc{launch_.block.x}); break;
+          case SReg::NTidY: mov(ImmSrc{launch_.block.y}); break;
+          case SReg::NTidZ: mov(ImmSrc{launch_.block.z}); break;
+          case SReg::LaneId: mov(RowSrc{kLaneIds.data()}); break;
+          case SReg::WarpId: mov(ImmSrc{warpInCta_}); break;
+          case SReg::None: break;
         }
         break;
       }
 
-      case Op::Ld: {
+      case ExecKind::Ld: {
         if constexpr (Timing) {
             st.isMem = true;
             st.space = ins.space;
         }
         const uint32_t bytes = dtypeBytes(ins.type);
+        const uint8_t *base = nullptr;
+        uint64_t limit = 0;
+        switch (ins.space) {
+          case Space::Global:
+            base = gmem_.data();
+            limit = gmem_.backed();
+            break;
+          case Space::Shared:
+            base = smem_.data();
+            limit = smem_.size();
+            break;
+          case Space::Const:
+            base = launch_.constData.data();
+            limit = launch_.constData.size();
+            break;
+          case Space::Param:
+            base = reinterpret_cast<const uint8_t *>(launch_.params.data());
+            limit = launch_.params.size() * 4;
+            break;
+        }
+        // One vectorized bounds check over the active lanes, then
+        // unchecked copies.  Immediate-only addressing has base 0.
         uint32_t addrs[warpSize];
-        const uint32_t *a0 = ins.src[0] == Instr::immReg
-                                 ? nullptr
-                                 : &regs_[size_t(ins.src[0]) * warpSize];
-        const uint32_t imm = ins.imm;
+        const bool inRange =
+            dec.immMask & 1u
+                ? laneAddrs(ImmSrc{0}, dec.imm, exec, limit, bytes, addrs)
+                : laneAddrs(RowSrc{row(dec.src[0])}, dec.imm, exec, limit,
+                            bytes, addrs);
+        TANGO_ASSERT(inRange, "load out of range");
+        // Word loads (f32/u32/s32) dominate and need no narrowing.
+        uint32_t *dp = row(dec.dst);
         if (bytes == 4) {
-            // Word loads (f32/u32/s32) dominate; the space dispatch and
-            // bounds limit hoist out of the lane loop and no narrowing is
-            // possible, so each lane is one checked 32-bit copy.
-            const uint8_t *base = nullptr;
-            uint64_t limit = 0;
-            switch (ins.space) {
-              case Space::Global:
-                base = gmem_.data();
-                limit = gmem_.backed();
-                break;
-              case Space::Shared:
-                base = smem_.data();
-                limit = smem_.size();
-                break;
-              case Space::Const:
-                base = launch_.constData.data();
-                limit = launch_.constData.size();
-                break;
-              case Space::Param:
-                base = reinterpret_cast<const uint8_t *>(
-                    launch_.params.data());
-                limit = launch_.params.size() * 4;
-                break;
-            }
-            uint32_t *dp = &regs_[size_t(ins.dst) * warpSize];
-            // Two passes so the bounds check hoists out of the copy loop:
-            // addresses and their max first (vectorizable), one assert,
-            // then unchecked 32-bit copies.
-            uint32_t maxAddr = 0;
             forLanes(exec, [&](uint32_t lane) {
-                const uint32_t addr = (a0 ? a0[lane] : 0) + imm;
-                addrs[lane] = addr;
-                maxAddr = std::max(maxAddr, addr);
-            });
-            TANGO_ASSERT(exec == 0 || uint64_t(maxAddr) + 4 <= limit,
-                         "load out of range");
-            forLanes(exec, [&](uint32_t lane) {
-                uint32_t raw;
-                std::memcpy(&raw, base + addrs[lane], 4);
-                dp[lane] = raw;
+                std::memcpy(&dp[lane], base + addrs[lane], 4);
             });
         } else {
-            for (Mask m = exec; m; m &= m - 1) {
-                const auto lane =
-                    static_cast<uint32_t>(std::countr_zero(m));
-                // Immediate-only addressing: base is 0, offset is the imm.
-                const uint32_t addr = (a0 ? a0[lane] : 0) + imm;
-                addrs[lane] = addr;
+            forLanes(exec, [&](uint32_t lane) {
                 uint32_t raw = 0;
-                switch (ins.space) {
-                  case Space::Global:
-                    TANGO_ASSERT(uint64_t(addr) + bytes <= gmem_.backed(),
-                                 "global load out of range");
-                    std::memcpy(&raw, gmem_.data() + addr, bytes);
-                    break;
-                  case Space::Shared:
-                    TANGO_ASSERT(uint64_t(addr) + bytes <= smem_.size(),
-                                 "shared load out of range");
-                    std::memcpy(&raw, smem_.data() + addr, bytes);
-                    break;
-                  case Space::Const:
-                    TANGO_ASSERT(uint64_t(addr) + bytes <=
-                                     launch_.constData.size(),
-                                 "const load out of range");
-                    std::memcpy(&raw, launch_.constData.data() + addr,
-                                bytes);
-                    break;
-                  case Space::Param:
-                    TANGO_ASSERT(uint64_t(addr) + bytes <=
-                                     launch_.params.size() * 4,
-                                 "param load out of range");
-                    std::memcpy(&raw,
-                                reinterpret_cast<const uint8_t *>(
-                                    launch_.params.data()) + addr,
-                                bytes);
-                    break;
-                }
-                writeReg(lane, ins.dst, canonical(ins.type, raw));
-            }
+                std::memcpy(&raw, base + addrs[lane], bytes);
+                dp[lane] = canonical(ins.type, raw);
+            });
         }
         if (hashing_)
             foldAddrs(exec, addrs);
@@ -590,68 +795,53 @@ WarpExec::stepT()
         break;
       }
 
-      case Op::St: {
+      case ExecKind::St: {
         if constexpr (Timing) {
             st.isMem = true;
             st.isStore = true;
             st.space = ins.space;
         }
         const uint32_t bytes = dtypeBytes(ins.type);
-        uint32_t addrs[warpSize];
-        const uint32_t *a0 = ins.src[0] == Instr::immReg
-                                 ? nullptr
-                                 : &regs_[size_t(ins.src[0]) * warpSize];
-        const uint32_t *v1 = ins.src[1] == Instr::immReg
-                                 ? nullptr
-                                 : &regs_[size_t(ins.src[1]) * warpSize];
-        const uint32_t imm = ins.imm;
-        if (bytes == 4 &&
-            (ins.space == Space::Global || ins.space == Space::Shared)) {
-            // Word stores: same hoisting as the load fast path above.
-            uint8_t *base;
-            uint64_t limit;
-            if (ins.space == Space::Global) {
-                base = gmem_.data();
-                limit = gmem_.backed();
-            } else {
-                base = smem_.data();
-                limit = smem_.size();
-            }
-            uint32_t maxAddr = 0;
-            forLanes(exec, [&](uint32_t lane) {
-                const uint32_t addr = (a0 ? a0[lane] : 0) + imm;
-                addrs[lane] = addr;
-                maxAddr = std::max(maxAddr, addr);
-            });
-            TANGO_ASSERT(exec == 0 || uint64_t(maxAddr) + 4 <= limit,
-                         "store out of range");
-            forLanes(exec, [&](uint32_t lane) {
-                const uint32_t val = v1 ? v1[lane] : imm;
-                std::memcpy(base + addrs[lane], &val, 4);
-            });
-        } else {
-            for (Mask m = exec; m; m &= m - 1) {
-                const auto lane =
-                    static_cast<uint32_t>(std::countr_zero(m));
-                const uint32_t addr = (a0 ? a0[lane] : 0) + imm;
-                addrs[lane] = addr;
-                const uint32_t val = v1 ? v1[lane] : imm;
-                switch (ins.space) {
-                  case Space::Global:
-                    TANGO_ASSERT(uint64_t(addr) + bytes <= gmem_.backed(),
-                                 "global store out of range");
-                    std::memcpy(gmem_.data() + addr, &val, bytes);
-                    break;
-                  case Space::Shared:
-                    TANGO_ASSERT(uint64_t(addr) + bytes <= smem_.size(),
-                                 "shared store out of range");
-                    std::memcpy(smem_.data() + addr, &val, bytes);
-                    break;
-                  default:
-                    panic("store to read-only space");
-                }
-            }
+        uint8_t *base = nullptr;
+        uint64_t limit = 0;
+        switch (ins.space) {
+          case Space::Global:
+            base = gmem_.data();
+            limit = gmem_.backed();
+            break;
+          case Space::Shared:
+            base = smem_.data();
+            limit = smem_.size();
+            break;
+          default:
+            if (exec != 0)
+                panic("store to read-only space");
+            break;
         }
+        uint32_t addrs[warpSize];
+        const bool inRange =
+            dec.immMask & 1u
+                ? laneAddrs(ImmSrc{0}, dec.imm, exec, limit, bytes, addrs)
+                : laneAddrs(RowSrc{row(dec.src[0])}, dec.imm, exec, limit,
+                            bytes, addrs);
+        TANGO_ASSERT(inRange, "store out of range");
+        const auto store = [&](auto val) {
+            if (bytes == 4) {
+                forLanes(exec, [&](uint32_t lane) {
+                    const uint32_t v = val[lane];
+                    std::memcpy(base + addrs[lane], &v, 4);
+                });
+            } else {
+                forLanes(exec, [&](uint32_t lane) {
+                    const uint32_t v = val[lane];
+                    std::memcpy(base + addrs[lane], &v, bytes);
+                });
+            }
+        };
+        if (dec.immMask & 2u)
+            store(ImmSrc{dec.imm});
+        else
+            store(RowSrc{row(dec.src[1])});
         if (hashing_)
             foldAddrs(exec, addrs);
         if constexpr (Timing) {
@@ -661,360 +851,87 @@ WarpExec::stepT()
         break;
       }
 
-      case Op::Set: {
-        // Operand rows hoisted out of the lane loop (same trick as the
-        // arithmetic path below); values match operand() lane for lane.
-        const uint32_t imm = ins.imm;
-        const uint32_t *s0 = ins.src[0] == Instr::immReg
-                                 ? nullptr
-                                 : &regs_[size_t(ins.src[0]) * warpSize];
-        const uint32_t *s1 = ins.src[1] == Instr::immReg
-                                 ? nullptr
-                                 : &regs_[size_t(ins.src[1]) * warpSize];
-        const Cmp cmp = ins.cmp;
-        const DType t = ins.type;
-        // The (type class, comparison) dispatch hoists out of the lane
-        // loop: runSet instantiates one tight loop per concrete
-        // comparator, matching compare() lane for lane (narrow types are
-        // stored canonicalized, so 32-bit signed/unsigned compares are
-        // exact for them too — the same equivalence compare() relies on).
-        const auto runSet = [&](auto cmpf) {
-            if (ins.dstIsPred) {
-                Mask result = preds_[ins.dst] & ~exec;
-                forLanes(exec, [&](uint32_t lane) {
-                    if (cmpf(s0 ? s0[lane] : imm, s1 ? s1[lane] : imm))
-                        result |= (1u << lane);
-                });
-                preds_[ins.dst] = result;
-            } else {
-                uint32_t *dp = &regs_[size_t(ins.dst) * warpSize];
-                forLanes(exec, [&](uint32_t lane) {
-                    dp[lane] =
-                        cmpf(s0 ? s0[lane] : imm, s1 ? s1[lane] : imm)
-                            ? 1u
-                            : 0u;
-                });
-            }
-        };
-        const auto dispatchCmp = [&](auto conv) {
-            switch (cmp) {
-              case Cmp::Eq:
-                runSet([conv](uint32_t a, uint32_t b) {
-                    return conv(a) == conv(b);
-                });
-                break;
-              case Cmp::Ne:
-                runSet([conv](uint32_t a, uint32_t b) {
-                    return conv(a) != conv(b);
-                });
-                break;
-              case Cmp::Lt:
-                runSet([conv](uint32_t a, uint32_t b) {
-                    return conv(a) < conv(b);
-                });
-                break;
-              case Cmp::Le:
-                runSet([conv](uint32_t a, uint32_t b) {
-                    return conv(a) <= conv(b);
-                });
-                break;
-              case Cmp::Gt:
-                runSet([conv](uint32_t a, uint32_t b) {
-                    return conv(a) > conv(b);
-                });
-                break;
-              case Cmp::Ge:
-                runSet([conv](uint32_t a, uint32_t b) {
-                    return conv(a) >= conv(b);
-                });
-                break;
-            }
-        };
-        if (isFloat(t)) {
-            dispatchCmp([](uint32_t v) { return asF32(v); });
-        } else if (isSigned(t)) {
-            dispatchCmp(
-                [](uint32_t v) { return static_cast<int32_t>(v); });
-        } else {
-            dispatchCmp([](uint32_t v) { return v; });
+      case ExecKind::Generic: {
+        uint32_t immRow[warpSize];
+        std::fill_n(immRow, warpSize, dec.imm);
+        const uint32_t *a = dec.immMask & 1u ? immRow : row(dec.src[0]);
+        const uint32_t *b = dec.immMask & 2u ? immRow : row(dec.src[1]);
+        const uint32_t *c = dec.immMask & 4u ? immRow : row(dec.src[2]);
+        // Selp's third operand is its predicate's lane bit.
+        const bool selp = ins.op == Op::Selp;
+        const Mask sel = selp ? preds_[ins.src[2]] : 0;
+        uint32_t *dp = row(dec.dst);
+        for (Mask m = exec; m; m &= m - 1) {
+            const auto l = static_cast<uint32_t>(std::countr_zero(m));
+            dp[l] = evalGeneric(ins, a[l], b[l], selp ? (sel >> l) & 1u : c[l]);
         }
         break;
       }
 
-      case Op::Selp: {
-        const Mask pv = preds_[ins.src[2]];
-        for (Mask m = exec; m; m &= m - 1) {
-            const auto lane = static_cast<uint32_t>(std::countr_zero(m));
-            const bool take = (pv >> lane) & 1u;
-            writeReg(lane, ins.dst,
-                     take ? operand(lane, ins, 0) : operand(lane, ins, 1));
-        }
-        break;
-      }
+      case ExecKind::Mov: laneOp<ExecKind::Mov>(dec, regs, exec); break;
+      case ExecKind::AddI: laneOp<ExecKind::AddI>(dec, regs, exec); break;
+      case ExecKind::AddF: laneOp<ExecKind::AddF>(dec, regs, exec); break;
+      case ExecKind::SubI: laneOp<ExecKind::SubI>(dec, regs, exec); break;
+      case ExecKind::SubF: laneOp<ExecKind::SubF>(dec, regs, exec); break;
+      case ExecKind::MulI: laneOp<ExecKind::MulI>(dec, regs, exec); break;
+      case ExecKind::MulF: laneOp<ExecKind::MulF>(dec, regs, exec); break;
+      case ExecKind::MadI: laneOp<ExecKind::MadI>(dec, regs, exec); break;
+      case ExecKind::MadF: laneOp<ExecKind::MadF>(dec, regs, exec); break;
+      case ExecKind::Mad24: laneOp<ExecKind::Mad24>(dec, regs, exec); break;
+      case ExecKind::MinU: laneOp<ExecKind::MinU>(dec, regs, exec); break;
+      case ExecKind::MinS: laneOp<ExecKind::MinS>(dec, regs, exec); break;
+      case ExecKind::MinF: laneOp<ExecKind::MinF>(dec, regs, exec); break;
+      case ExecKind::MaxU: laneOp<ExecKind::MaxU>(dec, regs, exec); break;
+      case ExecKind::MaxS: laneOp<ExecKind::MaxS>(dec, regs, exec); break;
+      case ExecKind::MaxF: laneOp<ExecKind::MaxF>(dec, regs, exec); break;
+      case ExecKind::Shl: laneOp<ExecKind::Shl>(dec, regs, exec); break;
+      case ExecKind::ShrU: laneOp<ExecKind::ShrU>(dec, regs, exec); break;
+      case ExecKind::ShrS: laneOp<ExecKind::ShrS>(dec, regs, exec); break;
+      case ExecKind::And: laneOp<ExecKind::And>(dec, regs, exec); break;
+      case ExecKind::Or: laneOp<ExecKind::Or>(dec, regs, exec); break;
+      case ExecKind::Xor: laneOp<ExecKind::Xor>(dec, regs, exec); break;
+      case ExecKind::Not: laneOp<ExecKind::Not>(dec, regs, exec); break;
+      case ExecKind::SetEqI: laneOp<ExecKind::SetEqI>(dec, regs, exec); break;
+      case ExecKind::SetEqF: laneOp<ExecKind::SetEqF>(dec, regs, exec); break;
+      case ExecKind::SetNeI: laneOp<ExecKind::SetNeI>(dec, regs, exec); break;
+      case ExecKind::SetNeF: laneOp<ExecKind::SetNeF>(dec, regs, exec); break;
+      case ExecKind::SetLtU: laneOp<ExecKind::SetLtU>(dec, regs, exec); break;
+      case ExecKind::SetLtS: laneOp<ExecKind::SetLtS>(dec, regs, exec); break;
+      case ExecKind::SetLtF: laneOp<ExecKind::SetLtF>(dec, regs, exec); break;
+      case ExecKind::SetLeU: laneOp<ExecKind::SetLeU>(dec, regs, exec); break;
+      case ExecKind::SetLeS: laneOp<ExecKind::SetLeS>(dec, regs, exec); break;
+      case ExecKind::SetLeF: laneOp<ExecKind::SetLeF>(dec, regs, exec); break;
 
-      default: {
-        // Arithmetic / logic with up to three operands.  Operand register
-        // rows and the opcode dispatch are hoisted out of the lane loop;
-        // the hottest opcodes get dedicated loops and everything else falls
-        // through to the generic per-lane evaluator below.  Results are
-        // identical lane for lane.
-        const int nsrc = dec.nsrc;
-        const uint32_t imm = ins.imm;
-        const uint32_t *s0 = ins.src[0] == Instr::immReg
-                                 ? nullptr
-                                 : &regs_[size_t(ins.src[0]) * warpSize];
-        const uint32_t *s1 = nsrc > 1 && ins.src[1] != Instr::immReg
-                                 ? &regs_[size_t(ins.src[1]) * warpSize]
-                                 : nullptr;
-        const uint32_t *s2 = nsrc > 2 && ins.src[2] != Instr::immReg
-                                 ? &regs_[size_t(ins.src[2]) * warpSize]
-                                 : nullptr;
-        const uint32_t bDef =
-            nsrc > 1 && ins.src[1] == Instr::immReg ? imm : 0;
-        const uint32_t cDef =
-            nsrc > 2 && ins.src[2] == Instr::immReg ? imm : 0;
-        uint32_t *dp = &regs_[size_t(ins.dst) * warpSize];
-        const auto srcA = [&](uint32_t l) { return s0 ? s0[l] : imm; };
-        const auto srcB = [&](uint32_t l) { return s1 ? s1[l] : bDef; };
-        const auto srcC = [&](uint32_t l) { return s2 ? s2[l] : cDef; };
-        const bool f32 = isFloat(ins.type);
-        const bool narrow =
-            ins.type == DType::U16 || ins.type == DType::S16;
-        const auto wr = [&](uint32_t l, uint32_t r) {
-            dp[l] = narrow ? canonical(ins.type, r) : r;
-        };
-        bool handled = true;
-        switch (ins.op) {
-          case Op::Mad:
-            if (f32) {
-                if (exec == kFullMask && s0 && s1 && s2) {
-                    madWarpF32(dp, s0, s1, s2);
-                } else {
-                    forLanes(exec, [&](uint32_t l) {
-                        dp[l] = asU32(std::fmaf(asF32(srcA(l)),
-                                                asF32(srcB(l)),
-                                                asF32(srcC(l))));
-                    });
-                }
-            } else {
-                forLanes(exec, [&](uint32_t l) {
-                    wr(l, srcA(l) * srcB(l) + srcC(l));
-                });
-            }
-            break;
-          case Op::Mad24:
-            if (f32) {      // invalid; the generic path reports it
-                handled = false;
-                break;
-            }
-            forLanes(exec, [&](uint32_t l) {
-                wr(l, (srcA(l) & 0xffffffu) * (srcB(l) & 0xffffffu) +
-                          srcC(l));
-            });
-            break;
-          case Op::Add:
-            if (f32) {
-                forLanes(exec, [&](uint32_t l) {
-                    dp[l] = asU32(asF32(srcA(l)) + asF32(srcB(l)));
-                });
-            } else {
-                forLanes(exec, [&](uint32_t l) {
-                    wr(l, srcA(l) + srcB(l));
-                });
-            }
-            break;
-          case Op::Sub:
-            if (f32) {
-                forLanes(exec, [&](uint32_t l) {
-                    dp[l] = asU32(asF32(srcA(l)) - asF32(srcB(l)));
-                });
-            } else {
-                forLanes(exec, [&](uint32_t l) {
-                    wr(l, srcA(l) - srcB(l));
-                });
-            }
-            break;
-          case Op::Mul:
-            if (f32) {
-                forLanes(exec, [&](uint32_t l) {
-                    dp[l] = asU32(asF32(srcA(l)) * asF32(srcB(l)));
-                });
-            } else {
-                forLanes(exec, [&](uint32_t l) {
-                    wr(l, srcA(l) * srcB(l));
-                });
-            }
-            break;
-          case Op::Min:
-            if (f32) {
-                forLanes(exec, [&](uint32_t l) {
-                    dp[l] = asU32(std::fmin(asF32(srcA(l)), asF32(srcB(l))));
-                });
-            } else if (isSigned(ins.type)) {
-                forLanes(exec, [&](uint32_t l) {
-                    wr(l, static_cast<uint32_t>(
-                              std::min(static_cast<int32_t>(srcA(l)),
-                                       static_cast<int32_t>(srcB(l)))));
-                });
-            } else {
-                forLanes(exec, [&](uint32_t l) {
-                    wr(l, std::min(srcA(l), srcB(l)));
-                });
-            }
-            break;
-          case Op::Max:
-            if (f32) {
-                forLanes(exec, [&](uint32_t l) {
-                    dp[l] = asU32(std::fmax(asF32(srcA(l)), asF32(srcB(l))));
-                });
-            } else if (isSigned(ins.type)) {
-                forLanes(exec, [&](uint32_t l) {
-                    wr(l, static_cast<uint32_t>(
-                              std::max(static_cast<int32_t>(srcA(l)),
-                                       static_cast<int32_t>(srcB(l)))));
-                });
-            } else {
-                forLanes(exec, [&](uint32_t l) {
-                    wr(l, std::max(srcA(l), srcB(l)));
-                });
-            }
-            break;
-          case Op::Shl:
-            if (f32) {
-                handled = false;
-                break;
-            }
-            forLanes(exec, [&](uint32_t l) {
-                wr(l, srcA(l) << (srcB(l) & 31u));
-            });
-            break;
-          case Op::And:
-            if (f32) {
-                handled = false;
-                break;
-            }
-            forLanes(exec, [&](uint32_t l) {
-                wr(l, srcA(l) & srcB(l));
-            });
-            break;
-          case Op::Or:
-            if (f32) {
-                handled = false;
-                break;
-            }
-            forLanes(exec, [&](uint32_t l) {
-                wr(l, srcA(l) | srcB(l));
-            });
-            break;
-          default:
-            handled = false;
-            break;
-        }
-        if (handled)
-            break;
-        for (Mask m = exec; m; m &= m - 1) {
-            const auto lane = static_cast<uint32_t>(std::countr_zero(m));
-            const uint32_t a = operand(lane, ins, 0);
-            const uint32_t b = nsrc > 1 ? operand(lane, ins, 1) : 0;
-            const uint32_t c = nsrc > 2 ? operand(lane, ins, 2) : 0;
-            uint32_t r = 0;
-            if (isFloat(ins.type)) {
-                const float x = asF32(a), y = asF32(b), z = asF32(c);
-                float f = 0.0f;
-                switch (ins.op) {
-                  case Op::Add: f = x + y; break;
-                  case Op::Sub: f = x - y; break;
-                  case Op::Mul: f = x * y; break;
-                  case Op::Div: f = x / y; break;
-                  case Op::Mad: f = std::fmaf(x, y, z); break;
-                  case Op::Min: f = std::fmin(x, y); break;
-                  case Op::Max: f = std::fmax(x, y); break;
-                  case Op::Abs: f = std::fabs(x); break;
-                  case Op::Rcp: f = 1.0f / x; break;
-                  case Op::Rsqrt: f = 1.0f / std::sqrt(x); break;
-                  case Op::Sqrt: f = std::sqrt(x); break;
-                  case Op::Ex2: f = std::exp2(x); break;
-                  case Op::Lg2: f = std::log2(x); break;
-                  case Op::Cvt:
-                    // f32 <- integer source
-                    f = isSigned(ins.type2)
-                            ? static_cast<float>(static_cast<int32_t>(a))
-                            : static_cast<float>(a);
-                    break;
-                  default:
-                    panic("op %s not valid on f32", opName(ins.op));
-                }
-                r = asU32(f);
-            } else {
-                switch (ins.op) {
-                  case Op::Add: r = a + b; break;
-                  case Op::Sub: r = a - b; break;
-                  case Op::Mul: r = a * b; break;
-                  case Op::Div:
-                    if (isSigned(ins.type)) {
-                        r = b ? static_cast<uint32_t>(
-                                    static_cast<int32_t>(a) /
-                                    static_cast<int32_t>(b))
-                              : 0;
-                    } else {
-                        r = b ? a / b : 0;
-                    }
-                    break;
-                  case Op::Mad: r = a * b + c; break;
-                  case Op::Mad24:
-                    r = (a & 0xffffffu) * (b & 0xffffffu) + c;
-                    break;
-                  case Op::Min:
-                    r = isSigned(ins.type)
-                            ? static_cast<uint32_t>(
-                                  std::min(static_cast<int32_t>(a),
-                                           static_cast<int32_t>(b)))
-                            : std::min(a, b);
-                    break;
-                  case Op::Max:
-                    r = isSigned(ins.type)
-                            ? static_cast<uint32_t>(
-                                  std::max(static_cast<int32_t>(a),
-                                           static_cast<int32_t>(b)))
-                            : std::max(a, b);
-                    break;
-                  case Op::Abs:
-                    r = isSigned(ins.type)
-                            ? static_cast<uint32_t>(
-                                  std::abs(static_cast<int32_t>(a)))
-                            : a;
-                    break;
-                  case Op::And: r = a & b; break;
-                  case Op::Or: r = a | b; break;
-                  case Op::Xor: r = a ^ b; break;
-                  case Op::Not: r = ~a; break;
-                  case Op::Shl: r = a << (b & 31u); break;
-                  case Op::Shr:
-                    r = isSigned(ins.type)
-                            ? static_cast<uint32_t>(
-                                  static_cast<int32_t>(a) >> (b & 31u))
-                            : a >> (b & 31u);
-                    break;
-                  case Op::Cvt:
-                    if (isFloat(ins.type2)) {
-                        const float x = asF32(a);
-                        r = isSigned(ins.type)
-                                ? static_cast<uint32_t>(
-                                      static_cast<int32_t>(x))
-                                : static_cast<uint32_t>(
-                                      x < 0.0f ? 0.0f : x);
-                    } else {
-                        r = a;
-                    }
-                    break;
-                  default:
-                    panic("op %s not valid on int", opName(ins.op));
-                }
-            }
-            writeReg(lane, ins.dst, canonical(ins.type, r));
-        }
+      case ExecKind::SetEqIP:
+        setPredOp<ExecKind::SetEqIP>(dec, regs, preds_[dec.dst], exec);
         break;
-      }
+      case ExecKind::SetEqFP:
+        setPredOp<ExecKind::SetEqFP>(dec, regs, preds_[dec.dst], exec);
+        break;
+      case ExecKind::SetNeIP:
+        setPredOp<ExecKind::SetNeIP>(dec, regs, preds_[dec.dst], exec);
+        break;
+      case ExecKind::SetNeFP:
+        setPredOp<ExecKind::SetNeFP>(dec, regs, preds_[dec.dst], exec);
+        break;
+      case ExecKind::SetLtUP:
+        setPredOp<ExecKind::SetLtUP>(dec, regs, preds_[dec.dst], exec);
+        break;
+      case ExecKind::SetLtSP:
+        setPredOp<ExecKind::SetLtSP>(dec, regs, preds_[dec.dst], exec);
+        break;
+      case ExecKind::SetLtFP:
+        setPredOp<ExecKind::SetLtFP>(dec, regs, preds_[dec.dst], exec);
+        break;
+      case ExecKind::SetLeUP:
+        setPredOp<ExecKind::SetLeUP>(dec, regs, preds_[dec.dst], exec);
+        break;
+      case ExecKind::SetLeSP:
+        setPredOp<ExecKind::SetLeSP>(dec, regs, preds_[dec.dst], exec);
+        break;
+      case ExecKind::SetLeFP:
+        setPredOp<ExecKind::SetLeFP>(dec, regs, preds_[dec.dst], exec);
+        break;
     }
 
     pc_ = next_pc;
@@ -1028,13 +945,12 @@ WarpExec::stepT()
 }
 
 uint64_t
-runFunctionalOnly(const KernelLaunch &launch,
+runFunctionalOnly(const KernelLaunch &launch, const DecodedProgram &decoded,
                   const std::vector<uint64_t> &cta_ids,
                   const std::vector<uint32_t> &warp_ids,
                   DeviceMemory &gmem)
 {
     TANGO_ASSERT(launch.program != nullptr, "launch without program");
-    const DecodedProgram decoded(*launch.program);
     const Dim3 grid = launch.grid;
     const auto coordOf = [&grid](uint64_t linear) {
         Dim3 c;

@@ -10,6 +10,11 @@
  *
  * Branch divergence is handled with a PDOM-style reconvergence stack keyed
  * by SSY-declared reconvergence points, as in real NVIDIA hardware.
+ *
+ * Execution dispatches on the decode-time ExecKind of each instruction
+ * (sim/program.hh): operand sources and type decisions are resolved once
+ * per static instruction, and each lane kind runs as a straight 32-lane
+ * loop over pre-resolved register rows.
  */
 
 #ifndef TANGO_SIM_INTERP_HH
@@ -109,12 +114,14 @@ uint32_t coalesceSegments(const uint32_t addrs[warpSize], Mask exec,
  * result is directly comparable and independent of interleaving.
  *
  * @param launch   the kernel.
+ * @param decoded  @p launch's program, decoded.
  * @param cta_ids  linear CTA indices to execute (launch order).
  * @param warp_ids warp indices within each CTA to execute.
  * @param gmem     device global memory.
  * @return the combined Step-stream digest of the executed population.
  */
 uint64_t runFunctionalOnly(const KernelLaunch &launch,
+                           const DecodedProgram &decoded,
                            const std::vector<uint64_t> &cta_ids,
                            const std::vector<uint32_t> &warp_ids,
                            DeviceMemory &gmem);
@@ -123,7 +130,11 @@ uint64_t runFunctionalOnly(const KernelLaunch &launch,
  * Execution state of one warp.
  *
  * The owning core provides global memory, the CTA's shared-memory block and
- * the launch's constant bank.
+ * the launch's constant bank.  Registers are stored reg-major (one 32-lane
+ * row per register), the layout the lane kinds loop over: a full warp runs
+ * one vectorizable loop per instruction, a partial warp computes all lanes
+ * and blends by the execution mask, a sparse one (at most 4 lanes) runs
+ * lane by lane, and Ld/St and the Generic kind touch active lanes only.
  */
 class WarpExec
 {
@@ -204,6 +215,15 @@ class WarpExec
     /** @return warp index within the CTA. */
     uint32_t warpInCta() const { return warpInCta_; }
 
+    /** @return lane @p lane's value of register @p r (inspection). */
+    uint32_t reg(uint32_t lane, uint8_t r) const
+    {
+        return regs_[size_t(r) * warpSize + lane];
+    }
+
+    /** @return the lane mask of predicate register @p p (inspection). */
+    Mask pred(uint8_t p) const { return preds_[p]; }
+
   private:
     struct StackEntry
     {
@@ -232,16 +252,13 @@ class WarpExec
 
     /** Shared body of step()/runFunctionalSegment(): one instruction per
      *  call in the Timing instantiation, a barrier-to-barrier batch in the
-     *  functional one. */
+     *  functional one.  Both dispatch on DecodedInstr::kind into the same
+     *  lane loops. */
     template <bool Timing>
     std::conditional_t<Timing, Step, StepLite> stepT();
 
     /** Fold the active lanes' memory addresses into the stream digest. */
     void foldAddrs(Mask exec, const uint32_t addrs[warpSize]);
-
-    uint32_t readReg(uint32_t lane, uint8_t r) const;
-    void writeReg(uint32_t lane, uint8_t r, uint32_t v);
-    uint32_t operand(uint32_t lane, const Instr &ins, int i) const;
 
     const KernelLaunch &launch_;
     const Program &prog_;

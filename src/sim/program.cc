@@ -1,6 +1,7 @@
 #include "sim/program.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -44,31 +45,109 @@ Program::maxLiveRegs() const
     return maxLive;
 }
 
+namespace {
+
+/** Resolve the execution kind and its operand arity (the number of
+ *  leading src[] entries it reads). */
+std::pair<ExecKind, int>
+execKind(const Instr &ins)
+{
+    using K = ExecKind;
+    const bool f32 = ins.type == DType::F32;
+    const bool s32 = ins.type == DType::S32;
+    const bool narrow = ins.type == DType::U16 || ins.type == DType::S16;
+    // A lane kind, or Generic where the type needs narrowing or is not
+    // valid for the op (Generic reports the latter when it executes).
+    const auto alu = [&](K i, K f, int n) -> std::pair<K, int> {
+        if (narrow || (f32 && f == K::Generic))
+            return {K::Generic, n};
+        return {f32 ? f : i, n};
+    };
+    switch (ins.op) {
+      case Op::Nop: case Op::Retp: case Op::Callp: case Op::Bar:
+        return {K::Nop, 0};
+      case Op::Ssy: return {K::Ssy, 0};
+      case Op::Exit: return {K::Exit, 0};
+      case Op::Bra: return {K::Bra, 0};
+      case Op::Ld: return {K::Ld, 1};
+      case Op::St: return {K::St, 2};
+      case Op::Mov:
+        // Mov copies raw bits whatever its type (no narrowing).
+        return ins.sreg != SReg::None ? std::pair{K::MovSreg, 0}
+                                      : std::pair{K::Mov, 1};
+      case Op::Add: return alu(K::AddI, K::AddF, 2);
+      case Op::Sub: return alu(K::SubI, K::SubF, 2);
+      case Op::Mul: return alu(K::MulI, K::MulF, 2);
+      case Op::Mad: return alu(K::MadI, K::MadF, 3);
+      case Op::Mad24: return alu(K::Mad24, K::Generic, 3);
+      case Op::Min: return alu(s32 ? K::MinS : K::MinU, K::MinF, 2);
+      case Op::Max: return alu(s32 ? K::MaxS : K::MaxU, K::MaxF, 2);
+      case Op::Shl: return alu(K::Shl, K::Generic, 2);
+      case Op::Shr: return alu(s32 ? K::ShrS : K::ShrU, K::Generic, 2);
+      case Op::And: return alu(K::And, K::Generic, 2);
+      case Op::Or: return alu(K::Or, K::Generic, 2);
+      case Op::Xor: return alu(K::Xor, K::Generic, 2);
+      case Op::Not: return alu(K::Not, K::Generic, 1);
+      case Op::Set: {
+        // Narrow values are stored canonicalized, so 32-bit signed or
+        // unsigned compares are exact for u16/s16 too.
+        const bool sgn = s32 || ins.type == DType::S16;
+        K k = K::Generic;
+        switch (ins.cmp) {
+          case Cmp::Eq: k = f32 ? K::SetEqF : K::SetEqI; break;
+          case Cmp::Ne: k = f32 ? K::SetNeF : K::SetNeI; break;
+          case Cmp::Lt: case Cmp::Gt:
+            k = f32 ? K::SetLtF : sgn ? K::SetLtS : K::SetLtU;
+            break;
+          case Cmp::Le: case Cmp::Ge:
+            k = f32 ? K::SetLeF : sgn ? K::SetLeS : K::SetLeU;
+            break;
+        }
+        // The predicate kinds list the register kinds' comparisons in
+        // the same order.
+        static_assert(int(K::SetLeFP) - int(K::SetEqIP) ==
+                      int(K::SetLeF) - int(K::SetEqI));
+        if (ins.dstIsPred)
+            k = K(int(k) - int(K::SetEqI) + int(K::SetEqIP));
+        return {k, 2};
+      }
+      case Op::Abs: case Op::Cvt: case Op::Rcp: case Op::Rsqrt:
+      case Op::Sqrt: case Op::Ex2: case Op::Lg2:
+        return {K::Generic, 1};
+      default:   // Div, Selp
+        return {K::Generic, 2};
+    }
+}
+
+} // namespace
+
 DecodedProgram::DecodedProgram(const Program &prog)
 {
     ops_.resize(prog.code.size());
     for (size_t pc = 0; pc < prog.code.size(); pc++) {
         const Instr &ins = prog.code[pc];
         DecodedInstr &d = ops_[pc];
+        const auto [kind, arity] = execKind(ins);
+        d.kind = kind;
         d.unit = opUnitTyped(ins.op, ins.type);
         d.dst = ins.dst;
+        uint8_t src[3] = {ins.src[0], ins.src[1], ins.src[2]};
+        // a > b is b < a and a >= b is b <= a, for f32 (NaN included) as
+        // for integers.
+        if (ins.op == Op::Set && (ins.cmp == Cmp::Gt || ins.cmp == Cmp::Ge))
+            std::swap(src[0], src[1]);
+        d.immMask = 0;
+        for (int i = 0; i < 3; i++) {
+            d.src[i] = i < arity ? src[i] : Instr::immReg;
+            if (d.src[i] == Instr::immReg)
+                d.immMask |= uint8_t(1u << i);
+        }
+        d.imm = ins.imm;
         d.numSrcRegs =
             static_cast<uint8_t>(instrSourceRegs(ins, d.srcRegs));
         d.writesReg = instrWritesReg(ins);
         d.isLdSt = ins.op == Op::Ld || ins.op == Op::St;
         d.latency = opLatency(ins.op);
-        switch (ins.op) {
-          case Op::Abs: case Op::Not: case Op::Cvt: case Op::Rcp:
-          case Op::Rsqrt: case Op::Sqrt: case Op::Ex2: case Op::Lg2:
-            d.nsrc = 1;
-            break;
-          case Op::Mad: case Op::Mad24:
-            d.nsrc = 3;
-            break;
-          default:
-            d.nsrc = 2;
-            break;
-        }
     }
 }
 

@@ -83,21 +83,61 @@ struct Program
 };
 
 /**
+ * How the warp interpreter executes one static instruction, resolved once
+ * at decode from the opcode, the type class (32-bit integer, signed, f32),
+ * the compare op and whether a Set writes a predicate.
+ *
+ * The lane kinds (Mov through SetLeFP) are side-effect-free elementwise
+ * ops on 32-bit values: WarpExec runs each as one straight 32-lane loop
+ * over the pre-resolved source rows (DecodedInstr::src / immMask), so no
+ * per-lane operand or type decision remains.  Set kinds name the
+ * comparison after decode-time canonicalization (Gt/Ge become Lt/Le with
+ * swapped sources); the trailing P writes a predicate bit, no suffix a
+ * 0/1 register.  Everything rare — Div, Cvt, Abs, Selp, the SFU ops and
+ * any arithmetic on u16/s16 — is Generic, one per-lane evaluator.
+ */
+enum class ExecKind : uint8_t {
+    Nop,        ///< Nop, Retp, Callp, Bar: no lane work
+    Ssy, Exit, Bra,
+    MovSreg,    ///< mov from a special register
+    Ld, St,
+    Generic,    ///< rare ops: per-lane evaluator over the active lanes
+    // Elementwise lane kinds.  I = any 32-bit integer type, U/S = the
+    // unsigned/signed variant where they differ, F = f32.
+    Mov,
+    AddI, AddF, SubI, SubF, MulI, MulF, MadI, MadF, Mad24,
+    MinU, MinS, MinF, MaxU, MaxS, MaxF,
+    Shl, ShrU, ShrS, And, Or, Xor, Not,
+    SetEqI, SetEqF, SetNeI, SetNeF,
+    SetLtU, SetLtS, SetLtF, SetLeU, SetLeS, SetLeF,
+    SetEqIP, SetEqFP, SetNeIP, SetNeFP,
+    SetLtUP, SetLtSP, SetLtFP, SetLeUP, SetLeSP, SetLeFP,
+};
+
+/**
  * One predecoded instruction: every per-instruction property the hot loops
  * of the interpreter and SM core would otherwise recompute per *dynamic*
- * instruction (unit lookups, scoreboard source-register extraction, result
- * latency, operand arity).  All fields are pure functions of the Instr, so
- * decoding once per kernel cannot change any simulated statistic.
+ * instruction (execution kind and operand sources, unit lookups,
+ * scoreboard source-register extraction, result latency).  All fields are
+ * pure functions of the Instr, so decoding once per kernel cannot change
+ * any simulated statistic.
  */
 struct DecodedInstr
 {
+    ExecKind kind = ExecKind::Nop; ///< how the interpreter executes it
     Unit unit = Unit::SP;       ///< opUnitTyped(op, type)
     uint8_t dst = 0;            ///< Instr::dst
+    /** Operand sources in the order the execution kind consumes them
+     *  (Set Gt/Ge: swapped).  Bit i of immMask marks source i as the
+     *  immediate `imm` instead of register row src[i]; sources the kind
+     *  does not read are marked immediate too. */
+    uint8_t src[3] = {};
+    uint8_t immMask = 0;
+    uint32_t imm = 0;           ///< Instr::imm
     /** Scoreboard source registers (instrSourceRegs; immediates and
      *  predicate-file indices excluded).  Also equals Step::numSrcRegs. */
     uint8_t srcRegs[3] = {};
     uint8_t numSrcRegs = 0;
-    uint8_t nsrc = 2;           ///< operand arity of the ALU execute path
     bool writesReg = false;     ///< instrWritesReg
     bool isLdSt = false;        ///< Op::Ld or Op::St
     uint32_t latency = 1;       ///< opLatency(op)

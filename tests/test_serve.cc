@@ -77,6 +77,42 @@ TEST(ServeProtocol, OversizedFrameRejected)
     ::close(sv[1]);
 }
 
+TEST(ServeProtocol, ClaimedLengthIsNotAllocatedUpFront)
+{
+    int sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    // A header claiming 60 MB (under the cap), 5 payload bytes, hang-up:
+    // the reader must fail having grown its buffer by one chunk at most.
+    const uint32_t claimed = 60u << 20;
+    const uint8_t hdr[4] = {uint8_t(claimed >> 24), uint8_t(claimed >> 16),
+                            uint8_t(claimed >> 8), uint8_t(claimed)};
+    ASSERT_EQ(::write(sv[0], hdr, 4), 4);
+    ASSERT_EQ(::write(sv[0], "12345", 5), 5);
+    ::close(sv[0]);
+    std::string got;
+    EXPECT_EQ(serve::readFrame(sv[1], got), serve::FrameStatus::Error);
+    EXPECT_LE(got.capacity(), serve::kFrameChunkBytes);
+    ::close(sv[1]);
+}
+
+TEST(ServeProtocol, FrameLargerThanOneChunkRoundTrips)
+{
+    int sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    std::string big(3 * serve::kFrameChunkBytes + 17, '\0');
+    for (size_t i = 0; i < big.size(); i++)
+        big[i] = static_cast<char>('a' + i % 26);
+    // The writer blocks once the socket buffer fills, so it needs its
+    // own thread while this one reads.
+    std::thread writer([&] { EXPECT_TRUE(serve::writeFrame(sv[0], big)); });
+    std::string got;
+    EXPECT_EQ(serve::readFrame(sv[1], got), serve::FrameStatus::Ok);
+    writer.join();
+    EXPECT_EQ(got, big);
+    ::close(sv[0]);
+    ::close(sv[1]);
+}
+
 TEST(ServeProtocol, RequestRoundTrip)
 {
     JobSpec job;
