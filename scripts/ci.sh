@@ -157,11 +157,13 @@ fi
 if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
     # Every report is fatal (-fno-sanitize-recover).  The parallel tier is
     # left out for time; the interpreter's raw-pointer lane loops and the
-    # hostile-input tests are what this stage guards.
+    # hostile-input tests are what this stage guards.  Instrumented
+    # compiles of the interpreter's templates are memory-hungry, so the
+    # job counts are bounded.
     echo "=== AddressSanitizer + UBSan tier-1 tests ==="
     cmake --preset asan
-    cmake --build --preset asan -j
-    ctest --preset asan -j
+    cmake --build --preset asan -j2
+    ctest --preset asan -j3
 fi
 
 echo "=== CI gate passed ==="

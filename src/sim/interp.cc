@@ -141,20 +141,6 @@ constexpr std::array<uint32_t, warpSize> kLaneBit = makeLaneTable(true);
 /** The %laneid register row. */
 constexpr std::array<uint32_t, warpSize> kLaneIds = makeLaneTable(false);
 
-/** Partial masks of at most this many lanes run lane by lane; denser ones
- *  compute all 32 lanes and blend. */
-constexpr int kSparseLanes = 4;
-
-/** @return whether at most kSparseLanes lanes of @p exec are set (a few
- *  bit clears; no popcount instruction on the baseline x86-64 target). */
-inline bool
-sparse(Mask exec)
-{
-    for (int i = 0; i < kSparseLanes; i++)
-        exec &= exec - 1;
-    return exec == 0;
-}
-
 /** A source operand resolved to a register row... */
 struct RowSrc
 {
@@ -220,11 +206,15 @@ laneEval(uint32_t a, uint32_t b, uint32_t c)
     else if constexpr (K == E::MinU) return std::min(a, b);
     else if constexpr (K == E::MinS)
         return static_cast<uint32_t>(std::min(sa, sb));
-    else if constexpr (K == E::MinF) return asU32(std::fmin(x, y));
+    // min/max.f32: a NaN operand loses to a number, as in fmin/fmax, and
+    // a tie (+0 against -0 included) returns the second operand, so the
+    // sign of a zero result does not depend on how the compiler orders
+    // the operands.
+    else if constexpr (K == E::MinF) return asU32(x < y || y != y ? x : y);
     else if constexpr (K == E::MaxU) return std::max(a, b);
     else if constexpr (K == E::MaxS)
         return static_cast<uint32_t>(std::max(sa, sb));
-    else if constexpr (K == E::MaxF) return asU32(std::fmax(x, y));
+    else if constexpr (K == E::MaxF) return asU32(x > y || y != y ? x : y);
     else if constexpr (K == E::Shl) return a << (b & 31u);
     else if constexpr (K == E::ShrU) return a >> (b & 31u);
     else if constexpr (K == E::ShrS)
@@ -261,21 +251,23 @@ laneArity(ExecKind k)
 }
 
 /**
- * Write lane kind @p K of sources (a, b, c) to row @p d for the lanes of
- * @p exec.  A full warp is one plain loop into a private row (the
- * destination may alias a source row, so computing into @p d directly
- * would cost the vectorizer its alias checks).  A partial warp computes
- * all 32 lanes the same way, then blends by the mask; a sparse one (at
- * most kSparseLanes lanes) evaluates its lanes one by one.
+ * Write lane kind @p K of sources (a, b, c), canonicalized to @p narrow
+ * (DecodedInstr::narrow), to row @p d for the lanes of @p exec.  A full
+ * warp is one plain loop into a private row (the destination may alias a
+ * source row, so computing into @p d directly would cost the vectorizer
+ * its alias checks).  A partial warp computes all 32 lanes the same way,
+ * then blends by the mask.  A single lane (a 1-thread CTA) is evaluated
+ * alone: there the 32-lane loop costs about twice as much, while at four
+ * lanes it is already the cheaper path for the f32 kinds.
  */
 template <ExecKind K, typename A, typename B, typename C>
 inline void
-runLanes(uint32_t *d, Mask exec, A a, B b, C c)
+runLanes(uint32_t *d, Mask exec, A a, B b, C c, DType narrow = DType::None)
 {
-    if (exec != kFullMask && sparse(exec)) {
-        for (Mask m = exec; m; m &= m - 1) {
-            const auto l = static_cast<uint32_t>(std::countr_zero(m));
-            d[l] = laneEval<K>(a[l], b[l], c[l]);
+    if ((exec & (exec - 1)) == 0) {   // one lane or none
+        if (exec) {
+            const auto l = static_cast<uint32_t>(std::countr_zero(exec));
+            d[l] = canonical(narrow, laneEval<K>(a[l], b[l], c[l]));
         }
         return;
     }
@@ -286,6 +278,16 @@ runLanes(uint32_t *d, Mask exec, A a, B b, C c)
     } else {
         for (uint32_t l = 0; l < warpSize; l++)
             t[l] = laneEval<K>(a[l], b[l], c[l]);
+    }
+    // One loop per type: canonical()'s switch inside the loop would not
+    // vectorize.
+    if (narrow == DType::U16) {
+        for (uint32_t l = 0; l < warpSize; l++)
+            t[l] &= 0xffffu;
+    } else if (narrow == DType::S16) {
+        for (uint32_t l = 0; l < warpSize; l++)
+            t[l] = static_cast<uint32_t>(
+                static_cast<int32_t>(static_cast<int16_t>(t[l])));
     }
     if (exec == kFullMask) {
         std::memcpy(d, t, sizeof t);
@@ -302,7 +304,7 @@ laneOp(const DecodedInstr &d, uint32_t *regs, Mask exec)
 {
     uint32_t *dp = regs + size_t(d.dst) * warpSize;
     withSources<laneArity(K)>(d, regs, [&](auto a, auto b, auto c) {
-        runLanes<K>(dp, exec, a, b, c);
+        runLanes<K>(dp, exec, a, b, c, d.narrow);
     });
 }
 
@@ -347,8 +349,8 @@ laneAddrs(A base, uint32_t imm, Mask exec, uint64_t limit, uint32_t bytes,
 
 /**
  * The Generic kind's evaluator: one lane of Div, Cvt, Abs, Selp (@p c is
- * the lane's predicate bit), an SFU op or any arithmetic on u16/s16.
- * Ops invalid for the type panic here.
+ * the lane's predicate bit) or an SFU op.  Ops invalid for the type
+ * panic here.
  */
 uint32_t
 evalGeneric(const Instr &ins, uint32_t a, uint32_t b, uint32_t c)
@@ -356,7 +358,6 @@ evalGeneric(const Instr &ins, uint32_t a, uint32_t b, uint32_t c)
     if (ins.op == Op::Selp)
         return c ? a : b;
     if (isFloat(ins.type)) {
-        // add/sub/mul/mad/min/max.f32 are lane kinds and never get here.
         const float x = asF32(a), y = asF32(b);
         float f = 0.0f;
         switch (ins.op) {
@@ -380,9 +381,6 @@ evalGeneric(const Instr &ins, uint32_t a, uint32_t b, uint32_t c)
     }
     uint32_t r = 0;
     switch (ins.op) {
-      case Op::Add: r = a + b; break;
-      case Op::Sub: r = a - b; break;
-      case Op::Mul: r = a * b; break;
       case Op::Div:
         if (isSigned(ins.type)) {
             r = b ? static_cast<uint32_t>(static_cast<int32_t>(a) /
@@ -392,34 +390,10 @@ evalGeneric(const Instr &ins, uint32_t a, uint32_t b, uint32_t c)
             r = b ? a / b : 0;
         }
         break;
-      case Op::Mad: r = a * b + c; break;
-      case Op::Mad24: r = (a & 0xffffffu) * (b & 0xffffffu) + c; break;
-      case Op::Min:
-        r = isSigned(ins.type)
-                ? static_cast<uint32_t>(std::min(static_cast<int32_t>(a),
-                                                 static_cast<int32_t>(b)))
-                : std::min(a, b);
-        break;
-      case Op::Max:
-        r = isSigned(ins.type)
-                ? static_cast<uint32_t>(std::max(static_cast<int32_t>(a),
-                                                 static_cast<int32_t>(b)))
-                : std::max(a, b);
-        break;
       case Op::Abs:
         r = isSigned(ins.type)
                 ? static_cast<uint32_t>(std::abs(static_cast<int32_t>(a)))
                 : a;
-        break;
-      case Op::And: r = a & b; break;
-      case Op::Or: r = a | b; break;
-      case Op::Xor: r = a ^ b; break;
-      case Op::Not: r = ~a; break;
-      case Op::Shl: r = a << (b & 31u); break;
-      case Op::Shr:
-        r = isSigned(ins.type)
-                ? static_cast<uint32_t>(static_cast<int32_t>(a) >> (b & 31u))
-                : a >> (b & 31u);
         break;
       case Op::Cvt:
         if (isFloat(ins.type2)) {

@@ -133,8 +133,8 @@ uint64_t runFunctionalOnly(const KernelLaunch &launch,
  * the launch's constant bank.  Registers are stored reg-major (one 32-lane
  * row per register), the layout the lane kinds loop over: a full warp runs
  * one vectorizable loop per instruction, a partial warp computes all lanes
- * and blends by the execution mask, a sparse one (at most 4 lanes) runs
- * lane by lane, and Ld/St and the Generic kind touch active lanes only.
+ * and blends by the execution mask, a single active lane runs alone, and
+ * Ld/St and the Generic kind touch active lanes only.
  */
 class WarpExec
 {

@@ -54,13 +54,12 @@ execKind(const Instr &ins)
 {
     using K = ExecKind;
     const bool f32 = ins.type == DType::F32;
-    const bool s32 = ins.type == DType::S32;
-    const bool narrow = ins.type == DType::U16 || ins.type == DType::S16;
-    // A lane kind, or Generic where the type needs narrowing or is not
-    // valid for the op (Generic reports the latter when it executes).
+    // Narrow values are stored canonicalized (sign- or zero-extended), so
+    // the 32-bit kinds of the same signedness compute them exactly.
+    const bool sgn = ins.type == DType::S32 || ins.type == DType::S16;
+    // The f32 kind, or Generic where the op is not valid on f32 (Generic
+    // reports that when it executes).
     const auto alu = [&](K i, K f, int n) -> std::pair<K, int> {
-        if (narrow || (f32 && f == K::Generic))
-            return {K::Generic, n};
         return {f32 ? f : i, n};
     };
     switch (ins.op) {
@@ -80,18 +79,15 @@ execKind(const Instr &ins)
       case Op::Mul: return alu(K::MulI, K::MulF, 2);
       case Op::Mad: return alu(K::MadI, K::MadF, 3);
       case Op::Mad24: return alu(K::Mad24, K::Generic, 3);
-      case Op::Min: return alu(s32 ? K::MinS : K::MinU, K::MinF, 2);
-      case Op::Max: return alu(s32 ? K::MaxS : K::MaxU, K::MaxF, 2);
+      case Op::Min: return alu(sgn ? K::MinS : K::MinU, K::MinF, 2);
+      case Op::Max: return alu(sgn ? K::MaxS : K::MaxU, K::MaxF, 2);
       case Op::Shl: return alu(K::Shl, K::Generic, 2);
-      case Op::Shr: return alu(s32 ? K::ShrS : K::ShrU, K::Generic, 2);
+      case Op::Shr: return alu(sgn ? K::ShrS : K::ShrU, K::Generic, 2);
       case Op::And: return alu(K::And, K::Generic, 2);
       case Op::Or: return alu(K::Or, K::Generic, 2);
       case Op::Xor: return alu(K::Xor, K::Generic, 2);
       case Op::Not: return alu(K::Not, K::Generic, 1);
       case Op::Set: {
-        // Narrow values are stored canonicalized, so 32-bit signed or
-        // unsigned compares are exact for u16/s16 too.
-        const bool sgn = s32 || ins.type == DType::S16;
         K k = K::Generic;
         switch (ins.cmp) {
           case Cmp::Eq: k = f32 ? K::SetEqF : K::SetEqI; break;
@@ -129,6 +125,9 @@ DecodedProgram::DecodedProgram(const Program &prog)
         DecodedInstr &d = ops_[pc];
         const auto [kind, arity] = execKind(ins);
         d.kind = kind;
+        if ((ins.type == DType::U16 || ins.type == DType::S16) &&
+            kind >= ExecKind::AddI && kind <= ExecKind::Not)
+            d.narrow = ins.type;
         d.unit = opUnitTyped(ins.op, ins.type);
         d.dst = ins.dst;
         uint8_t src[3] = {ins.src[0], ins.src[1], ins.src[2]};

@@ -93,8 +93,10 @@ struct Program
  * per-lane operand or type decision remains.  Set kinds name the
  * comparison after decode-time canonicalization (Gt/Ge become Lt/Le with
  * swapped sources); the trailing P writes a predicate bit, no suffix a
- * 0/1 register.  Everything rare — Div, Cvt, Abs, Selp, the SFU ops and
- * any arithmetic on u16/s16 — is Generic, one per-lane evaluator.
+ * 0/1 register.  Arithmetic on u16/s16 runs the 32-bit kind of its
+ * signedness and canonicalizes the result (DecodedInstr::narrow).
+ * Everything rare — Div, Cvt, Abs, Selp and the SFU ops — is Generic, one
+ * per-lane evaluator.
  */
 enum class ExecKind : uint8_t {
     Nop,        ///< Nop, Retp, Callp, Bar: no lane work
@@ -102,8 +104,9 @@ enum class ExecKind : uint8_t {
     MovSreg,    ///< mov from a special register
     Ld, St,
     Generic,    ///< rare ops: per-lane evaluator over the active lanes
-    // Elementwise lane kinds.  I = any 32-bit integer type, U/S = the
-    // unsigned/signed variant where they differ, F = f32.
+    // Elementwise lane kinds.  I = any integer type, U/S = the
+    // unsigned/signed variant where they differ, F = f32.  AddI through
+    // Not are the arithmetic kinds (the ones a narrow type canonicalizes).
     Mov,
     AddI, AddF, SubI, SubF, MulI, MulF, MadI, MadF, Mad24,
     MinU, MinS, MinF, MaxU, MaxS, MaxF,
@@ -133,6 +136,9 @@ struct DecodedInstr
      *  does not read are marked immediate too. */
     uint8_t src[3] = {};
     uint8_t immMask = 0;
+    /** U16/S16 when an arithmetic lane kind's results are canonicalized
+     *  to that type; None otherwise. */
+    DType narrow = DType::None;
     uint32_t imm = 0;           ///< Instr::imm
     /** Scoreboard source registers (instrSourceRegs; immediates and
      *  predicate-file indices excluded).  Also equals Step::numSrcRegs. */

@@ -251,6 +251,22 @@ TEST(AluEdge, FloatSpecials)
     EXPECT_EQ(f(runOp(Op::Rcp, DType::F32, u(inf), 0, 0)), 0.0f);
 }
 
+TEST(AluEdge, FloatMinMaxTieAndNaNRule)
+{
+    // A tie returns the second operand, so the sign of a zero result is
+    // fixed (ReLU is max(x, +0): -0 becomes +0); a NaN loses to a number.
+    const uint32_t pz = u(0.0f), nz = u(-0.0f);
+    const uint32_t nan = u(std::numeric_limits<float>::quiet_NaN());
+    EXPECT_EQ(runOp(Op::Max, DType::F32, nz, pz, 0), pz);
+    EXPECT_EQ(runOp(Op::Max, DType::F32, pz, nz, 0), nz);
+    EXPECT_EQ(runOp(Op::Min, DType::F32, nz, pz, 0), pz);
+    EXPECT_EQ(runOp(Op::Min, DType::F32, pz, nz, 0), nz);
+    for (Op op : {Op::Min, Op::Max}) {
+        EXPECT_EQ(runOp(op, DType::F32, nan, u(1.0f), 0), u(1.0f));
+        EXPECT_EQ(runOp(op, DType::F32, u(1.0f), nan, 0), u(1.0f));
+    }
+}
+
 TEST(AluEdge, MadIsFused)
 {
     // mad.f32 must behave like fmaf (single rounding).
@@ -340,8 +356,9 @@ refOp(const Instr &ins, uint32_t a, uint32_t b, uint32_t c)
           case Op::Mul: return u(x * y);
           case Op::Div: return u(x / y);
           case Op::Mad: return u(std::fmaf(x, y, z));
-          case Op::Min: return u(std::fmin(x, y));
-          case Op::Max: return u(std::fmax(x, y));
+          // NaN loses to a number; a tie (+0/-0 too) returns y.
+          case Op::Min: return u(x < y || std::isnan(y) ? x : y);
+          case Op::Max: return u(x > y || std::isnan(y) ? x : y);
           case Op::Abs: return u(std::fabs(x));
           case Op::Rcp: return u(1.0f / x);
           case Op::Rsqrt: return u(1.0f / std::sqrt(x));
@@ -481,8 +498,8 @@ const MaskCase kMaskCases[] = {
     {"partial", 20, 0xffffffffu, false},   // 20 live lanes: blend path
     {"guarded", 32, 0x5a3c96e1u, false},
     {"negated", 32, 0x5a3c96e1u, true},
-    {"sparse", 32, 0x00810004u, false},    // 3 lanes: lane-by-lane path
-    {"single", 1, 0xffffffffu, false},     // 1-thread CTA
+    {"sparse", 32, 0x00810004u, false},    // 3 lanes
+    {"single", 1, 0xffffffffu, false},     // 1-thread CTA: one-lane path
 };
 
 /** A random operand of type @p t for @p op: edge values sometimes, and
@@ -657,15 +674,8 @@ checkWarp(const OpCase &c, int immMask, const MaskCase &mc, bool segment,
         if (c.op == Op::Selp)
             src[2] = (p1Before >> l) & 1u;
         const uint32_t before = (live >> l) & 1u ? in[D][l] : 0u;
-        uint32_t want = ran ? refOp(op, src[0], src[1], src[2]) : before;
-        // min/max of +0 and -0 may return either zero (IEEE 754 leaves
-        // it open, and compilers swap fmin/fmax operands freely).
-        const bool zeroTie = (src[0] ^ src[1]) == 0x80000000u &&
-                             (src[0] & 0x7fffffffu) == 0;
-        if (ran && c.type == DType::F32 &&
-            (c.op == Op::Min || c.op == Op::Max) && zeroTie &&
-            (w.reg(l, 3) | 0x80000000u) == 0x80000000u)
-            want = w.reg(l, 3);
+        const uint32_t want =
+            ran ? refOp(op, src[0], src[1], src[2]) : before;
         EXPECT_EQ(w.reg(l, 3), want);
         EXPECT_EQ(w.pred(1), p1Before);
     }
